@@ -82,13 +82,16 @@ class Pipe:
 
     def enqueue(self, packet: "Packet") -> None:
         """Place a packet on the transmit queue, dropping on overflow."""
-        if len(self._queue) >= self.queue_packets:
-            self.stats.packets_dropped += 1
-            self.stats.bytes_dropped += packet.size_bytes
+        queue = self._queue
+        stats = self.stats
+        if len(queue) >= self.queue_packets:
+            stats.packets_dropped += 1
+            stats.bytes_dropped += packet.size_bytes
             return
-        self.stats.packets_enqueued += 1
-        self._queue.append(packet)
-        self.stats.queue_peak = max(self.stats.queue_peak, len(self._queue))
+        stats.packets_enqueued += 1
+        queue.append(packet)
+        if len(queue) > stats.queue_peak:
+            stats.queue_peak = len(queue)
         if not self._busy:
             self._start_next()
 
@@ -99,13 +102,18 @@ class Pipe:
             return
         self._busy = True
         packet = self._queue.popleft()
-        serialization = packet.size_bytes * 8.0 / self.bandwidth_bps
-        self.sim.schedule(serialization, self._finish_serialization, packet)
+        size = packet.size_bytes
+        sim = self.sim
+        sim.schedule_at(
+            sim.now + size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size
+        )
 
-    def _finish_serialization(self, packet: "Packet") -> None:
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += packet.size_bytes
-        self.sim.schedule(self.delay_s, self._deliver, packet)
+    def _finish_serialization(self, packet: "Packet", size: int) -> None:
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += size
+        sim = self.sim
+        sim.schedule_at(sim.now + self.delay_s, self._deliver, packet)
         self._start_next()
 
     def _deliver(self, packet: "Packet") -> None:

@@ -2,15 +2,18 @@
 
 The scheduler is a classic calendar queue built on :mod:`heapq`.  Events fire
 in (time, insertion-order) order, so simulations are fully deterministic for a
-given seed.  Everything else in the simulator (links, protocol timers,
-application behaviour) is expressed as callbacks scheduled here.
+given seed.  Heap entries are ``(time, seq, handle)`` tuples: ``seq`` is
+unique, so ``heapq`` orders entries with C tuple comparison and never
+compares two handles.  Everything else in the simulator (links, protocol
+timers, application behaviour) is expressed as callbacks scheduled here.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
+import sys
 import time
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 #: how often (in processed events) the wall-clock watchdog is consulted;
@@ -21,6 +24,9 @@ WALL_CHECK_INTERVAL = 512
 #: compaction is considered; below this the rebuild costs more than the
 #: lazy pops it saves
 COMPACT_MIN_STALE = 64
+
+_NO_LIMIT = sys.maxsize
+_INF = float("inf")
 
 #: truncation reasons reported via :attr:`Simulator.truncated`
 TRUNCATED_MAX_EVENTS = "max-events"
@@ -39,6 +45,9 @@ class EventHandle:
     retransmission timers are cancelled on almost every ACK.  The owning
     simulator counts cancellations and compacts the heap when too many
     cancelled handles pin slots (see :meth:`Simulator._compact`).
+
+    A handle is pending exactly while ``fn`` is set: both :meth:`cancel` and
+    the run loop clear it.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
@@ -70,22 +79,13 @@ class EventHandle:
         if sim is not None:
             sim._note_cancel()
 
-    def _consume(self) -> None:
-        """Mark the event fired by the run loop.
-
-        A consumed event is already popped from the heap, so it must not be
-        counted as a stale heap entry the way :meth:`cancel` is.
-        """
-        self.cancelled = True
-        self.fn = None
-        self.args = ()
-        self.sim = None
-
     @property
     def pending(self) -> bool:
         return not self.cancelled and self.fn is not None
 
     def __lt__(self, other: "EventHandle") -> bool:
+        # the heap orders (time, seq, handle) entries itself; this keeps
+        # handles sortable on their own
         return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -108,7 +108,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._stale = 0
         self._running = False
@@ -135,9 +135,9 @@ class Simulator:
         """Schedule ``fn(*args)`` to run at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
-        self._seq += 1
-        handle = EventHandle(time, self._seq, fn, args, self)
-        heapq.heappush(self._heap, handle)
+        self._seq = seq = self._seq + 1
+        handle = EventHandle(time, seq, fn, args, self)
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -155,10 +155,13 @@ class Simulator:
         far-future timestamps surface; once they are the majority of the heap
         a linear rebuild is cheaper than lazily popping them one by one.
         Rebuilding preserves the ``(time, seq)`` total order, so determinism
-        is unaffected.
+        is unaffected.  Compaction runs from inside callbacks while
+        :meth:`run` holds the heap in a local, so the list is rebuilt in
+        place rather than rebound.
         """
-        self._heap = [event for event in self._heap if event.pending]
-        heapq.heapify(self._heap)
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2].fn is not None]
+        heapify(heap)
         self._stale = 0
 
     # ------------------------------------------------------------------
@@ -196,21 +199,28 @@ class Simulator:
         self.truncated = None
         started = time.monotonic()
         deadline = None if wall_budget is None else started + wall_budget
+        # absent limits become unreachable ones so each check is one compare
+        pause_at = _NO_LIMIT if stop_after_events is None else stop_after_events
+        cap = _NO_LIMIT if max_events is None else max_events
+        horizon = _INF if until is None else until
+        heap = self._heap
+        pop = heappop
         processed = 0
         paused = False
         try:
-            while self._heap:
-                if stop_after_events is not None and processed >= stop_after_events:
+            while heap:
+                if processed >= pause_at:
                     paused = True
                     break
-                head = self._heap[0]
-                if not head.pending:
-                    heapq.heappop(self._heap)
+                at, _, event = heap[0]
+                fn = event.fn
+                if fn is None:  # cancelled
+                    pop(heap)
                     self._stale -= 1
                     continue
-                if until is not None and head.time > until:
+                if at > horizon:
                     break
-                if max_events is not None and processed >= max_events:
+                if processed >= cap:
                     self.truncated = TRUNCATED_MAX_EVENTS
                     break
                 if (
@@ -220,14 +230,14 @@ class Simulator:
                 ):
                     self.truncated = TRUNCATED_WALL_BUDGET
                     break
-                event = heapq.heappop(self._heap)
-                if not event.pending:
-                    self._stale -= 1
-                    continue
-                self.now = event.time
-                fn, args = event.fn, event.args
-                event._consume()  # mark consumed without counting as stale
-                assert fn is not None
+                pop(heap)
+                self.now = at
+                args = event.args
+                # consumed, not cancelled: a popped event is no stale entry
+                event.cancelled = True
+                event.fn = None
+                event.args = ()
+                event.sim = None
                 fn(*args)
                 processed += 1
                 self._events_processed += 1
@@ -243,7 +253,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if e.pending)
+        return sum(1 for _, _, event in self._heap if event.pending)
 
     @property
     def events_processed(self) -> int:

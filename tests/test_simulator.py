@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim.simulator import EventHandle, SimulationError, Simulator, Timer
+from repro.netsim.simulator import (
+    COMPACT_MIN_STALE,
+    EventHandle,
+    SimulationError,
+    Simulator,
+    Timer,
+)
 
 
 class TestScheduling:
@@ -118,6 +124,48 @@ class TestCancellation:
         assert handle.pending
         sim.run()
         assert not handle.pending
+
+
+class TestCompactionDuringRun:
+    def test_mass_cancel_from_a_callback_keeps_order_and_count(self):
+        sim = Simulator()
+        handles = []
+        fired = []  # (tag, events_processed as read inside the callback)
+
+        def record(tag):
+            fired.append((tag, sim.events_processed))
+
+        def schedule(at):
+            handles.append(sim.schedule_at(at, record, len(handles)))
+
+        victims = range(COMPACT_MIN_STALE * 3)
+        for index in victims:
+            schedule(5.0 + 0.01 * index)
+        # survivors interleave with the victims in time and tie among themselves
+        for at in (2.0, 2.0, 5.005, 5.5, 5.5, 6.0, 9.0):
+            schedule(at)
+
+        def mass_cancel():
+            record("cancel")
+            heap = sim._heap
+            for index in victims:
+                handles[index].cancel()
+            # compaction ran, on the very list the run loop is draining
+            assert sim._heap is heap
+            assert len(sim._heap) < len(victims)
+            for at in (5.5, 7.0, 3.0):
+                schedule(at)
+
+        sim.schedule_at(3.0, mass_cancel)
+        sim.run()
+
+        survivors = [h for index, h in enumerate(handles) if index not in victims]
+        expected = [handles.index(h) for h in sorted(survivors, key=lambda h: (h.time, h.seq))]
+        assert [tag for tag, _ in fired if tag != "cancel"] == expected
+        # each callback saw the count of events completed before it
+        assert [count for _, count in fired] == list(range(len(fired)))
+        assert sim.events_processed == len(fired)
+        assert sim.pending_events == 0
 
 
 class TestDeterminism:
