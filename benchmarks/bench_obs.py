@@ -12,6 +12,11 @@ must stay a single attribute check when disabled, so ``off`` should match
 pre-instrumentation throughput and ``metrics``/``full`` should stay within
 a few percent (instrumentation records once per run, never per packet).
 
+``REPEATS`` trials run; each runs all three modes, rotating which mode
+goes first.  Every mode reports the median, min and max of its wall time,
+and the overhead compares medians.  The ``fleet`` section of the output
+file (written by ``bench_fleet.py``) is kept.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_obs.py [--runs N] [--out FILE]
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -33,6 +39,11 @@ from repro.obs import BUS, METRICS, ObsConfig
 from repro.obs import config as obs_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+MODES = ("off", "metrics", "full")
+
+#: trials of all modes; a multiple of len(MODES), so each mode leads equally often
+REPEATS = 9
 
 
 def _strategies(n: int):
@@ -65,13 +76,19 @@ def bench_mode(mode: str, runs: int, trace_dir: str) -> dict:
     wall = time.perf_counter() - started
     events = sum(r.events_processed for r in results)
     _reset_obs()
-    return {
-        "mode": mode,
-        "runs": runs,
-        "wall_seconds": round(wall, 4),
-        "sim_events": events,
-        "events_per_second": round(events / wall) if wall > 0 else 0,
+    return {"mode": mode, "runs": runs, "wall_seconds": wall, "sim_events": events}
+
+
+def summarize(trials: list) -> dict:
+    """One mode over all trials: wall-time median and spread."""
+    walls = [trial["wall_seconds"] for trial in trials]
+    median = statistics.median(walls)
+    row = dict(trials[-1])
+    row["wall_seconds"] = {
+        "median": round(median, 4), "min": round(min(walls), 4), "max": round(max(walls), 4),
     }
+    row["events_per_second"] = round(row["sim_events"] / median)
+    return row
 
 
 def main() -> int:
@@ -81,23 +98,31 @@ def main() -> int:
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_obs.json"))
     args = parser.parse_args()
 
-    with tempfile.TemporaryDirectory() as trace_dir:
-        modes = [bench_mode(mode, args.runs, trace_dir)
-                 for mode in ("off", "metrics", "full")]
+    trials: dict = {mode: [] for mode in MODES}
+    for trial in range(REPEATS):
+        lead = trial % len(MODES)
+        with tempfile.TemporaryDirectory() as trace_dir:
+            for mode in MODES[lead:] + MODES[:lead]:
+                trials[mode].append(bench_mode(mode, args.runs, trace_dir))
 
-    off = modes[0]["wall_seconds"]
+    modes = [summarize(trials[mode]) for mode in MODES]
+    off = modes[0]["wall_seconds"]["median"]
     for row in modes[1:]:
-        row["overhead_vs_off_pct"] = round(100.0 * (row["wall_seconds"] - off) / off, 2)
+        row["overhead_vs_off_pct"] = round(
+            100.0 * (row["wall_seconds"]["median"] - off) / off, 2
+        )
 
-    payload = {
+    out = Path(args.out)
+    payload = json.loads(out.read_text()) if out.exists() else {}
+    payload.update({
         "benchmark": "observability overhead (sinks off vs on)",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "config": {"protocol": "tcp", "duration": 2.0, "workers": 1},
+        "config": {"protocol": "tcp", "duration": 2.0, "workers": 1, "repeats": REPEATS},
         "modes": modes,
-    }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+    })
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(json.dumps(modes, indent=2))
     return 0
 
 

@@ -1,6 +1,6 @@
 """Cache-aware batched sweep benchmark — writes ``BENCH_sweep.json``.
 
-Runs the same campaign twice against one cache directory and once without
+Runs the same campaign against one cache directory twice and once without
 batching, and records:
 
 * ``cold``      — empty cache, batched dispatch: the executions/sec the
@@ -15,6 +15,12 @@ batching, and records:
   within load-balancing noise of each other, which is the honest
   comparison to record.
 
+The three phases are one trial; ``REPEATS`` trials run, alternating
+whether the batched pair (cold then warm) or the unbatched phase goes
+first, each on fresh cache directories.  Every phase reports the median,
+min and max of its wall time over the trials.  Other sections of the
+output file (``snapshot``, written by ``bench_snapshot.py``) are kept.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py [--sample-every N]
@@ -26,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -36,6 +43,9 @@ from repro.obs import BUS, METRICS, ObsConfig
 from repro.obs import config as obs_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: trials of all three phases; even, so each phase order runs equally often
+REPEATS = 4
 
 
 def _reset_obs() -> None:
@@ -56,13 +66,24 @@ def bench_phase(label: str, spec: CampaignSpec) -> dict:
     return {
         "phase": label,
         "batch_size": spec.batch_size,
-        "wall_seconds": round(wall, 4),
+        "wall_seconds": wall,
         "runs_total": executed + result.cache_hits,
         "runs_executed": executed,
         "cache_hits": result.cache_hits,
         "cache_misses": counters.get("cache.misses", 0),
-        "executions_per_second": round(executed / wall, 2) if executed else 0.0,
     }
+
+
+def summarize(trials: list) -> dict:
+    """One phase over all trials: the counts of the last, wall-time spread."""
+    walls = [trial["wall_seconds"] for trial in trials]
+    median = statistics.median(walls)
+    row = dict(trials[-1])
+    row["wall_seconds"] = {
+        "median": round(median, 4), "min": round(min(walls), 4), "max": round(max(walls), 4),
+    }
+    row["executions_per_second"] = round(row["runs_executed"] / median, 2)
+    return row
 
 
 def main() -> int:
@@ -86,25 +107,36 @@ def main() -> int:
             obs=ObsConfig(metrics=True),
         )
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cold = bench_phase("cold", spec(f"{tmp}/cache", args.batch_size))
-        warm = bench_phase("warm", spec(f"{tmp}/cache", args.batch_size))
-        unbatched = bench_phase("unbatched", spec(f"{tmp}/cache-unbatched", 1))
+    trials: dict = {"cold": [], "warm": [], "unbatched": []}
+    for trial in range(REPEATS):
+        with tempfile.TemporaryDirectory() as tmp:
+            batched = [("cold", f"{tmp}/cache", args.batch_size),
+                       ("warm", f"{tmp}/cache", args.batch_size)]
+            unbatched = [("unbatched", f"{tmp}/cache-unbatched", 1)]
+            order = batched + unbatched if trial % 2 == 0 else unbatched + batched
+            for label, cache_dir, batch_size in order:
+                trials[label].append(bench_phase(label, spec(cache_dir, batch_size)))
 
-    warm["speedup_vs_cold"] = round(cold["wall_seconds"] / warm["wall_seconds"], 2)
-    payload = {
+    cold, warm, unbatched = (summarize(trials[name]) for name in ("cold", "warm", "unbatched"))
+    warm["speedup_vs_cold"] = round(
+        cold["wall_seconds"]["median"] / warm["wall_seconds"]["median"], 2
+    )
+    out = Path(args.out)
+    payload = json.loads(out.read_text()) if out.exists() else {}
+    payload.update({
         "benchmark": "cache-aware batched sweep (cold vs warm vs unbatched)",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "config": {"protocol": "tcp", "sample_every": args.sample_every,
-                   "workers": args.workers},
+                   "workers": args.workers, "repeats": REPEATS},
         "phases": [cold, warm, unbatched],
-    }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
+    })
+    out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(json.dumps(payload["phases"], indent=2))
 
-    if warm["runs_executed"] != 0:
-        print(f"FAIL: warm run executed {warm['runs_executed']} simulations")
+    executed = [trial["runs_executed"] for trial in trials["warm"]]
+    if any(executed):
+        print(f"FAIL: warm runs executed {executed} simulations")
         return 1
     if warm["speedup_vs_cold"] < 1.5:
         print(f"FAIL: warm speedup {warm['speedup_vs_cold']}x below 1.5x")

@@ -14,21 +14,18 @@ line is one outcome::
     {"stage": "sweep", "kind": "error",  "outcome": {...RunError fields...}}
     {"stage": "confirm", "kind": "result", "outcome": {...}}
 
-Durability: every :meth:`CheckpointJournal.record` commits the whole
-journal through a temp file + fsync + ``os.replace`` (plus a best-effort
-directory fsync), so a SIGKILL mid-write leaves either the previous
-complete journal or the new complete journal on disk — never a truncated
-tail.  Journals are one short line per strategy, so the whole-file
-rewrite stays cheap at campaign scale.
+Durability: every :meth:`CheckpointJournal.record` appends its line with
+one write, then flushes and fsyncs the file before returning, so a record
+that returned is on disk.  An append costs the same however long the
+journal is, and the file is never rewritten or replaced.
 
-Because appends are atomic, the only unparseable line a crash can
-legitimately produce is a torn *final* line (journals predating the
-atomic commit, or non-atomic filesystems): :meth:`CheckpointJournal.load`
-tolerates exactly that and nothing more.  A line that fails to parse
-anywhere *before* the end of the file means real damage — disk
-corruption, a hand edit, interleaved writers — and raises
-:class:`JournalCorrupt` instead of silently dropping results (a dropped
-result would silently re-run, corrupting exactly-once accounting).
+A SIGKILL mid-write can leave exactly one kind of damage: a torn *final*
+line.  :meth:`CheckpointJournal.load` tolerates that and nothing more, and
+:meth:`CheckpointJournal.open` truncates the torn line in place before it
+appends.  A line that fails to parse anywhere *before* the end of the file
+means real damage — disk corruption, a hand edit, interleaved writers —
+and raises :class:`JournalCorrupt` instead of silently dropping results (a
+dropped result would silently re-run, corrupting exactly-once accounting).
 Well-formed JSON records that merely lack the expected fields are still
 skipped for forward compatibility.  Resuming against a journal whose
 header does not match the current campaign raises
@@ -39,8 +36,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, Optional, Tuple
 
 from repro.core.executor import RunError, RunOutcome, RunResult
 
@@ -58,8 +54,9 @@ class JournalCorrupt(ValueError):
     """A non-final journal line is unparseable: the file is damaged.
 
     Torn final lines are expected after a hard kill and are tolerated;
-    garbage anywhere else cannot come from a crash (appends are atomic)
-    and silently skipping it would lose completed results.
+    garbage anywhere else cannot come from a crash (each append finishes
+    before the next begins) and silently skipping it would lose completed
+    results.
     """
 
 
@@ -87,7 +84,7 @@ class CheckpointJournal:
 
     def __init__(self, path: str):
         self.path = path
-        self._lines: Optional[List[str]] = None
+        self._fh: Optional[BinaryIO] = None
 
     # ------------------------------------------------------------------
     def load(self, expected_meta: Optional[Dict[str, object]] = None) -> CompletedMap:
@@ -113,11 +110,7 @@ class CheckpointJournal:
             except json.JSONDecodeError as exc:
                 if index == len(lines) - 1:
                     continue  # half-written tail from a hard kill
-                raise JournalCorrupt(
-                    f"{self.path}: line {index + 1} is not valid JSON ({exc}); "
-                    "mid-file corruption means the journal is damaged — "
-                    "delete it (results will re-run) or restore a backup"
-                ) from exc
+                raise self._corrupt(index, exc) from exc
             if not isinstance(record, dict):
                 continue
             if not header_seen:
@@ -150,81 +143,69 @@ class CheckpointJournal:
                     f"{key}={header.get(key)!r}, campaign has {key}={value!r}"
                 )
 
+    def _corrupt(self, index: int, exc: ValueError) -> JournalCorrupt:
+        return JournalCorrupt(
+            f"{self.path}: line {index + 1} is not valid JSON ({exc}); "
+            "mid-file corruption means the journal is damaged — "
+            "delete it (results will re-run) or restore a backup"
+        )
+
     # ------------------------------------------------------------------
     def open(self, meta: Optional[Dict[str, object]] = None) -> "CheckpointJournal":
         """Open for appending; write the header if the file is new/empty.
 
-        A torn final line is dropped here so it is not re-committed into
-        the middle of the file by later appends; mid-file garbage raises
-        :class:`JournalCorrupt` just as :meth:`load` does.
+        A torn final line is truncated away here, in place, so later
+        appends do not land behind it in the middle of the file; mid-file
+        garbage raises :class:`JournalCorrupt` just as :meth:`load` does.
         """
-        lines: List[str] = []
-        if os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = [line.rstrip("\n") for line in fh if line.strip()]
-        for index, line in enumerate(lines):
-            try:
-                json.loads(line)
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    lines.pop()  # torn tail from a hard kill: discard
-                    break
-                raise JournalCorrupt(
-                    f"{self.path}: line {index + 1} is not valid JSON ({exc}); "
-                    "mid-file corruption means the journal is damaged — "
-                    "delete it (results will re-run) or restore a backup"
-                ) from exc
-        self._lines = lines
-        if not lines:
+        fh = open(self.path, "a+b")
+        try:
+            fh.seek(0)
+            lines = fh.read().splitlines(keepends=True)
+            last = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
+            offset = intact = 0  # intact: end of the last line that parses
+            for index, line in enumerate(lines[: last + 1]):
+                if line.strip():
+                    try:
+                        json.loads(line)
+                    except ValueError as exc:
+                        if index < last:
+                            raise self._corrupt(index, exc) from exc
+                        break  # torn tail from a hard kill: cut it below
+                    intact = offset + len(line)
+                offset += len(line)
+            fh.truncate(intact)
+            if intact:
+                fh.seek(intact - 1)
+                if fh.read(1) != b"\n":  # killed right before the newline
+                    fh.write(b"\n")
+        except BaseException:
+            fh.close()
+            raise
+        self._fh = fh
+        if not intact:
             header = {"version": JOURNAL_VERSION}
             header.update(meta or {})
-            self._write_line(header)
+            self._append(header)
         return self
 
     def record(self, stage: str, outcome: RunOutcome) -> None:
-        """Append one outcome and atomically commit it (crash safety)."""
-        if self._lines is None:
+        """Append one outcome and fsync it (crash safety)."""
+        if self._fh is None:
             raise RuntimeError("journal is not open")
-        self._write_line(encode_outcome(stage, outcome))
+        self._append(encode_outcome(stage, outcome))
 
-    def _write_line(self, record: Dict[str, object]) -> None:
-        assert self._lines is not None
-        self._lines.append(json.dumps(record, sort_keys=True))
-        self._commit()
-
-    def _commit(self) -> None:
-        """Atomically replace the journal: tmp file + fsync + os.replace.
-
-        A SIGKILL at any point leaves either the old or the new complete
-        file — a plain append could be cut mid-line and truncate the tail.
-        """
-        assert self._lines is not None
-        directory = os.path.dirname(os.path.abspath(self.path)) or "."
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".journal-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(self._lines) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        try:  # make the rename itself durable where the platform allows
-            dir_fd = os.open(directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
+    def _append(self, record: Dict[str, object]) -> None:
+        assert self._fh is not None
+        self._fh.write(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         """Stop accepting records; safe to call when never opened."""
-        self._lines = None
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __enter__(self) -> "CheckpointJournal":
         return self

@@ -104,7 +104,8 @@ class Pipe:
         packet = self._queue.popleft()
         size = packet.size_bytes
         sim = self.sim
-        sim.schedule_at(
+        # neither per-hop event is ever cancelled, so neither needs a handle
+        sim.call_at(
             sim.now + size * 8.0 / self.bandwidth_bps, self._finish_serialization, packet, size
         )
 
@@ -113,7 +114,7 @@ class Pipe:
         stats.packets_sent += 1
         stats.bytes_sent += size
         sim = self.sim
-        sim.schedule_at(sim.now + self.delay_s, self._deliver, packet)
+        sim.call_at(sim.now + self.delay_s, self._deliver, packet)
         self._start_next()
 
     def _deliver(self, packet: "Packet") -> None:

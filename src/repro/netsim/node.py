@@ -1,7 +1,7 @@
 """Hosts and routers.
 
-A :class:`Host` owns a set of link attachments, a static routing table
-(destination address -> link), and a protocol demultiplexer.  A host whose
+A :class:`Host` owns a set of link attachments, a static forwarding table
+(destination address -> outgoing pipe), and a protocol demultiplexer.  A host whose
 routing table contains entries for other destinations forwards packets like a
 router; a host with registered protocol handlers delivers packets addressed
 to itself up the stack.
@@ -42,8 +42,10 @@ class Host:
         # stays internally consistent: copy.deepcopy's memo maps each
         # link to exactly one copy, and that copy is the key here
         self._out_pipes: Dict[Link, Pipe] = {}
-        self._routes: Dict[str, Link] = {}
-        self._default_route: Optional[Link] = None
+        #: destination address -> the pipe that leaves towards it, so the
+        #: datapath resolves a route with one dict probe
+        self._forward: Dict[str, Pipe] = {}
+        self._default_pipe: Optional[Pipe] = None
         self._protocols: Dict[str, ProtocolHandler] = {}
         self.packets_received = 0
         self.packets_forwarded = 0
@@ -59,14 +61,16 @@ class Host:
         self._out_pipes[link] = out_pipe
 
     def add_route(self, dst_address: str, link: Link) -> None:
-        if link not in self._out_pipes:
-            raise ValueError(f"{self.name} is not attached to {link.name}")
-        self._routes[dst_address] = link
+        self._forward[dst_address] = self._out_pipe(link)
 
     def set_default_route(self, link: Link) -> None:
-        if link not in self._out_pipes:
+        self._default_pipe = self._out_pipe(link)
+
+    def _out_pipe(self, link: Link) -> Pipe:
+        pipe = self._out_pipes.get(link)
+        if pipe is None:
             raise ValueError(f"{self.name} is not attached to {link.name}")
-        self._default_route = link
+        return pipe
 
     def register_protocol(self, proto: str, handler: ProtocolHandler) -> None:
         self._protocols[proto] = handler
@@ -79,11 +83,11 @@ class Host:
     # ------------------------------------------------------------------
     def send(self, packet: "Packet") -> None:
         """Transmit a packet originated by (or forwarded through) this host."""
-        link = self._routes.get(packet.dst, self._default_route)
-        if link is None:
+        pipe = self._forward.get(packet.dst, self._default_pipe)
+        if pipe is None:
             self.packets_dropped_no_route += 1
             return
-        self._out_pipes[link].transmit(packet)
+        pipe.transmit(packet)
 
     def receive(self, packet: "Packet", pipe: Pipe) -> None:
         """Called by the delivering pipe when a packet arrives."""

@@ -2,10 +2,18 @@
 
 The scheduler is a classic calendar queue built on :mod:`heapq`.  Events fire
 in (time, insertion-order) order, so simulations are fully deterministic for a
-given seed.  Heap entries are ``(time, seq, handle)`` tuples: ``seq`` is
-unique, so ``heapq`` orders entries with C tuple comparison and never
-compares two handles.  Everything else in the simulator (links, protocol
-timers, application behaviour) is expressed as callbacks scheduled here.
+given seed.  Everything else in the simulator (links, protocol timers,
+application behaviour) is expressed as callbacks scheduled here.
+
+Heap entries are ``(time, seq, fn, args)`` tuples of two kinds.  An event
+that can be cancelled (:meth:`Simulator.schedule`/:meth:`~Simulator.schedule_at`,
+and so every :class:`Timer`) is ``(time, seq, None, handle)``: the callback
+lives on its :class:`EventHandle`.  An event that nothing ever cancels
+(:meth:`Simulator.call_at`, the links' per-hop events) is the bare
+``(time, seq, fn, args)`` and allocates no handle.  Both kinds take ``seq``
+from the same counter when they are scheduled, and ``seq`` is unique, so
+``heapq`` orders all entries by ``(time, seq)`` with C tuple comparison and
+never compares the last two slots.
 """
 
 from __future__ import annotations
@@ -84,7 +92,7 @@ class EventHandle:
         return not self.cancelled and self.fn is not None
 
     def __lt__(self, other: "EventHandle") -> bool:
-        # the heap orders (time, seq, handle) entries itself; this keeps
+        # the heap orders (time, seq, fn, args) entries itself; this keeps
         # handles sortable on their own
         return (self.time, self.seq) < (other.time, other.seq)
 
@@ -108,7 +116,7 @@ class Simulator:
     def __init__(self, seed: int = 0):
         self.now: float = 0.0
         self.rng = random.Random(seed)
-        self._heap: List[Tuple[float, int, EventHandle]] = []
+        self._heap: List[Tuple[float, int, Optional[Callable[..., Any]], Any]] = []
         self._seq = 0
         self._stale = 0
         self._running = False
@@ -137,8 +145,21 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
         self._seq = seq = self._seq + 1
         handle = EventHandle(time, seq, fn, args, self)
-        heappush(self._heap, (time, seq, handle))
+        heappush(self._heap, (time, seq, None, handle))
         return handle
+
+    def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at absolute ``time``, with no handle.
+
+        The event cannot be cancelled, so no :class:`EventHandle` is
+        allocated; it takes its ``seq`` exactly as :meth:`schedule_at`
+        would, so it fires at the same point of the ``(time, seq)`` order.
+        Links use this for their per-hop events.
+        """
+        if time < self.now:
+            raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, seq, fn, args))
 
     # ------------------------------------------------------------------
     # heap hygiene
@@ -149,7 +170,7 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop cancelled handles and re-heapify.
+        """Drop cancelled handles and re-heapify; keep every handle-free entry.
 
         Lazily cancelled retransmit timers pin heap slots until their
         far-future timestamps surface; once they are the majority of the heap
@@ -160,7 +181,7 @@ class Simulator:
         place rather than rebound.
         """
         heap = self._heap
-        heap[:] = [entry for entry in heap if entry[2].fn is not None]
+        heap[:] = [entry for entry in heap if entry[2] is not None or entry[3].fn is not None]
         heapify(heap)
         self._stale = 0
 
@@ -212,12 +233,16 @@ class Simulator:
                 if processed >= pause_at:
                     paused = True
                     break
-                at, _, event = heap[0]
-                fn = event.fn
-                if fn is None:  # cancelled
-                    pop(heap)
-                    self._stale -= 1
-                    continue
+                at, _, fn, args = heap[0]
+                event = None
+                if fn is None:  # a cancellable event: the callback is on its handle
+                    event = args
+                    fn = event.fn
+                    if fn is None:  # cancelled
+                        pop(heap)
+                        self._stale -= 1
+                        continue
+                    args = event.args
                 if at > horizon:
                     break
                 if processed >= cap:
@@ -232,12 +257,12 @@ class Simulator:
                     break
                 pop(heap)
                 self.now = at
-                args = event.args
-                # consumed, not cancelled: a popped event is no stale entry
-                event.cancelled = True
-                event.fn = None
-                event.args = ()
-                event.sim = None
+                if event is not None:
+                    # consumed, not cancelled: a popped event is no stale entry
+                    event.cancelled = True
+                    event.fn = None
+                    event.args = ()
+                    event.sim = None
                 fn(*args)
                 processed += 1
                 self._events_processed += 1
@@ -252,8 +277,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return sum(1 for _, _, event in self._heap if event.pending)
+        """Number of not-yet-cancelled events still queued, of both kinds."""
+        return sum(1 for _, _, fn, args in self._heap if fn is not None or args.pending)
 
     @property
     def events_processed(self) -> int:

@@ -32,6 +32,12 @@ header tcp {
 
 TCP_FORMAT = parse_header_description(TCP_DESCRIPTION)
 
+#: bit masks of the ``flags`` field, for stack code that tests or builds
+#: the whole flags byte at once instead of one named flag per call
+FIN, SYN, RST, PSH, ACK = (
+    TCP_FORMAT.flag_masks[("flags", name)] for name in ("fin", "syn", "rst", "psh", "ack")
+)
+
 #: flag presentation order for canonical packet-type names
 _FLAG_ORDER = ("syn", "fin", "rst", "psh", "ack", "urg")
 

@@ -18,8 +18,9 @@ from repro.core.executor import TestbedConfig
 
 #: bumped whenever snapshot capture semantics change, so stale persistent
 #: snapshots from an older engine are never resurrected; 2 = the pickled
-#: simulator heap holds ``(time, seq, handle)`` tuples, not bare handles
-SNAP_VERSION = 2
+#: simulator heap holds ``(time, seq, handle)`` tuples, not bare handles;
+#: 3 = it holds ``(time, seq, fn, args)`` entries, handle-free for link events
+SNAP_VERSION = 3
 
 #: store namespace for persistent (cross-host) snapshots
 SNAPSHOT_NAMESPACE = "snapshots"

@@ -39,7 +39,9 @@ def fired_sequence(config: TestbedConfig, monkeypatch) -> tuple:
 
     Every callback is wrapped at scheduling time so it logs ``(sim.now,
     qualname)`` when it fires; the wrapping changes no event's time or
-    sequence number.
+    sequence number.  All three entry points are wrapped: ``schedule`` and
+    ``schedule_at`` (cancellable, with a handle) and ``call_at`` (the
+    links' handle-free per-hop events), so every fired event is logged.
     """
     fired = []
 
@@ -55,11 +57,13 @@ def fired_sequence(config: TestbedConfig, monkeypatch) -> tuple:
         fire._golden_wrapped = True
         return fire
 
-    schedule, schedule_at = Simulator.schedule, Simulator.schedule_at
-    monkeypatch.setattr(Simulator, "schedule",
-                        lambda sim, delay, fn, *args: schedule(sim, delay, wrap(sim, fn), *args))
-    monkeypatch.setattr(Simulator, "schedule_at",
-                        lambda sim, at, fn, *args: schedule_at(sim, at, wrap(sim, fn), *args))
+    for entry in ("schedule", "schedule_at", "call_at"):
+        original = getattr(Simulator, entry)
+        monkeypatch.setattr(
+            Simulator, entry,
+            lambda sim, when, fn, *args, _original=original:
+                _original(sim, when, wrap(sim, fn), *args),
+        )
     world = Executor(config).build_world(None, None)
     world.sim.run(until=config.duration)
     return world.sim.events_processed, fired

@@ -2,7 +2,9 @@
 checkpoint/resume, and the chaos executor hook."""
 
 import json
+import os
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +270,33 @@ class TestCheckpointJournal:
         journal.close()
         # had open() kept the torn line, it would now sit mid-file and
         # poison every future load
+        completed = CheckpointJournal(path).load({"protocol": "tcp"})
+        assert sorted(completed) == [("sweep", 1), ("sweep", 2)]
+
+    def test_record_appends_in_place(self, tmp_path):
+        # an append, not a rewrite: the file is never replaced, so its
+        # inode stays the same and earlier bytes are never rewritten
+        path = str(tmp_path / "journal.jsonl")
+        journal = CheckpointJournal(path).open({"protocol": "tcp"})
+        inode = os.stat(path).st_ino
+        before = Path(path).read_bytes()
+        for sid in range(1, 4):
+            journal.record("sweep", RunError(sid, "ValueError", "boom"))
+            assert os.stat(path).st_ino == inode
+        journal.close()
+        assert Path(path).read_bytes().startswith(before)
+        completed = CheckpointJournal(path).load({"protocol": "tcp"})
+        assert sorted(completed) == [("sweep", 1), ("sweep", 2), ("sweep", 3)]
+
+    def test_open_ends_an_unterminated_final_line(self, tmp_path):
+        # killed after the record's JSON but before its newline: the record
+        # is whole and kept, and the next append starts on a line of its own
+        path = self._journal_with_outcomes(tmp_path, count=1)
+        with open(path, "rb+") as fh:
+            fh.truncate(os.path.getsize(path) - 1)
+        journal = CheckpointJournal(path).open({"protocol": "tcp"})
+        journal.record("sweep", RunError(2, "ValueError", "boom"))
+        journal.close()
         completed = CheckpointJournal(path).load({"protocol": "tcp"})
         assert sorted(completed) == [("sweep", 1), ("sweep", 2)]
 

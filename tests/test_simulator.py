@@ -168,6 +168,56 @@ class TestCompactionDuringRun:
         assert sim.pending_events == 0
 
 
+class TestHandleFreeEvents:
+    """``call_at`` entries share the ``(time, seq)`` order with handles."""
+
+    def test_equal_time_entries_fire_in_seq_order(self):
+        sim = Simulator()
+        log = []
+        sim.schedule_at(1.0, log.append, "handle-1")
+        assert sim.call_at(1.0, log.append, "free-2") is None
+        sim.schedule(1.0, log.append, "handle-3")
+        sim.call_at(1.0, log.append, "free-4")
+        sim.schedule_at(0.5, log.append, "handle-early")
+        sim.call_at(2.0, log.append, "free-late")
+        sim.run()
+        assert log == ["handle-early", "handle-1", "free-2", "handle-3", "free-4", "free-late"]
+        assert sim.events_processed == 6
+
+    def test_past_time_rejected(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.call_at(1.0, lambda: None)
+
+    def test_compaction_keeps_every_handle_free_entry(self):
+        sim = Simulator()
+        fired = []
+        handles = []
+        for index in range(COMPACT_MIN_STALE * 2):
+            sim.call_at(1.0 + 0.001 * index, fired.append, ("free", index))
+            handles.append(sim.schedule_at(1.0 + 0.001 * index, fired.append, ("handle", index)))
+        for handle in handles:
+            handle.cancel()
+        sim._compact()
+        assert len(sim._heap) == COMPACT_MIN_STALE * 2
+        sim.run()
+        assert fired == [("free", index) for index in range(COMPACT_MIN_STALE * 2)]
+
+    def test_pending_events_counts_both_kinds(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        sim.call_at(2.0, lambda: None)
+        keep = sim.schedule(3.0, lambda: None)
+        sim.schedule(4.0, lambda: None).cancel()
+        assert sim.pending_events == 3
+        sim.run(until=1.5)
+        assert sim.pending_events == 2
+        keep.cancel()
+        assert sim.pending_events == 1
+
+
 class TestDeterminism:
     def test_rng_is_seeded(self):
         a = Simulator(seed=42).rng.random()

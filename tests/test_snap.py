@@ -322,13 +322,14 @@ class TestSnapshotCache:
         assert result is not None
         assert metrics.snapshot()["counters"].get("snap.store_errors", 0) >= 1
 
-        # a version-1 record predates tuple heap entries: even with a blob
-        # that unpickles cleanly at the right boundary it must be rebuilt
-        assert 1 < SNAP_VERSION
+        # a previous-version record holds an older heap entry shape: even
+        # with a blob that unpickles cleanly at the right boundary it must
+        # be rebuilt
         record = store.get(SNAPSHOT_NAMESPACE, fingerprint)
         assert record is not None and record["snap"] == SNAP_VERSION
         store.delete(SNAPSHOT_NAMESPACE, fingerprint)
-        store.put_if_absent(SNAPSHOT_NAMESPACE, fingerprint, dict(record, snap=1))
+        store.put_if_absent(SNAPSHOT_NAMESPACE, fingerprint,
+                            dict(record, snap=SNAP_VERSION - 1))
         METRICS.reset()
         rebuilt = SnapshotEngine(snap).execute(TCP_CONFIG, _packet(), None)
         counters = metrics.snapshot()["counters"]
