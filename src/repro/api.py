@@ -9,11 +9,6 @@ JSON artifact (``repro campaign --spec spec.json``) and its
 :meth:`~CampaignSpec.fingerprint` names the campaign for checkpoint-journal
 compatibility checks.
 
-The pre-spec calling convention (``Controller(config, workers=...,
-retries=..., ...)``) keeps working, and :func:`run_campaign_legacy` wraps
-it for callers that still pass the old kwarg soup — it emits a
-``DeprecationWarning`` and simply builds the equivalent spec.
-
     >>> from repro.api import CampaignSpec, run_campaign
     >>> from repro.core import TestbedConfig
     >>> spec = CampaignSpec(testbed=TestbedConfig(protocol="tcp"),
@@ -23,7 +18,6 @@ it for callers that still pass the old kwarg soup — it emits a
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Callable, Dict, Optional
 
@@ -93,9 +87,9 @@ class CampaignSpec:
     Field groups mirror the subsystems they configure: ``testbed`` is the
     executor's world, ``generation`` the strategy enumeration (``None`` =
     protocol defaults), ``retry`` the fault-tolerance policy, ``cache_dir``
-    / ``batch_size`` the execution engine, ``supervision`` the hang-proof
-    worker pool (enabled by default; disable to fall back to the plain
-    pool), ``confirmation`` the baseline replication + noise-band verdict
+    / ``batch_size`` the execution engine, ``supervision`` the tuning of
+    the hang-proof worker pool every local campaign runs on,
+    ``confirmation`` the baseline replication + noise-band verdict
     policy, ``checkpoint`` / ``resume`` the journal, and ``obs`` the
     telemetry (``None`` = everything off).
     """
@@ -161,7 +155,9 @@ class CampaignSpec:
 
         Sequence-valued generation knobs normalize back to tuples, so
         ``from_dict(spec.to_dict()) == spec`` holds exactly.  Unknown keys
-        inside the nested configs are ignored for forward compatibility.
+        inside the nested configs are ignored for forward compatibility,
+        and for backward compatibility too: the retired
+        ``supervision.enabled`` switch of older spec files is dropped.
         Old spec versions are upgraded in place through the
         :data:`_SPEC_UPGRADES` hook chain (v1 dicts gain the v2
         ``tenant``/``service`` defaults); a version with no upgrade path
@@ -276,82 +272,8 @@ def run_campaign(
     return spec.build_controller().run_campaign(progress=progress)
 
 
-def spec_from_kwargs(config: TestbedConfig, **kwargs: Any) -> CampaignSpec:
-    """Deprecated: translate the pre-spec kwarg soup into a spec.
-
-    Accepts exactly the keywords the old ``Controller(config, ...)`` call
-    took (``workers``, ``confirm``, ``sample_every``, ``retries``,
-    ``retry_backoff``, ``checkpoint``, ``resume``, ``obs``, plus the newer
-    ``cache_dir``/``batch_size``); the shim and its tests share this so
-    legacy calls provably build the same spec.
-
-    .. deprecated::
-        Construct :class:`CampaignSpec` directly; this translator will be
-        removed together with :func:`run_campaign_legacy` in the release
-        after next.
-    """
-    warnings.warn(
-        "spec_from_kwargs() is deprecated and will be removed in the "
-        "release after next; construct CampaignSpec(...) directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _spec_from_kwargs(config, **kwargs)
-
-
-def _spec_from_kwargs(config: TestbedConfig, **kwargs: Any) -> CampaignSpec:
-    retry = RetryPolicy(
-        retries=kwargs.pop("retries", 0), backoff=kwargs.pop("retry_backoff", 0.0)
-    )
-    spec = CampaignSpec(
-        testbed=config,
-        generation=kwargs.pop("generation", None),
-        workers=kwargs.pop("workers", None),
-        confirm=kwargs.pop("confirm", True),
-        sample_every=kwargs.pop("sample_every", 1),
-        retry=retry,
-        checkpoint=kwargs.pop("checkpoint", None),
-        resume=kwargs.pop("resume", False),
-        cache_dir=kwargs.pop("cache_dir", None),
-        batch_size=kwargs.pop("batch_size", DEFAULT_BATCH_SIZE),
-        obs=kwargs.pop("obs", None),
-        supervision=kwargs.pop("supervision", SupervisionConfig()),
-        confirmation=kwargs.pop("confirmation", ConfirmationPolicy()),
-        fabric=kwargs.pop("fabric", None),
-        snapshots=kwargs.pop("snapshots", SnapshotConfig()),
-    )
-    if kwargs:
-        raise TypeError(f"unknown campaign keyword(s): {sorted(kwargs)}")
-    return spec
-
-
-def run_campaign_legacy(
-    config: TestbedConfig,
-    progress: Optional[ProgressHook] = None,
-    **kwargs: Any,
-) -> CampaignResult:
-    """Deprecated kwarg-style entry point; use :func:`run_campaign`.
-
-    Thin shim: builds the equivalent :class:`CampaignSpec` and delegates.
-
-    .. deprecated::
-        Will be removed in the release after next, together with
-        :func:`spec_from_kwargs`.
-    """
-    warnings.warn(
-        "run_campaign_legacy(config, **kwargs) is deprecated and will be "
-        "removed in the release after next; build a CampaignSpec and call "
-        "run_campaign(spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_campaign(_spec_from_kwargs(config, **kwargs), progress=progress)
-
-
 __all__ = [
     "SPEC_VERSION",
     "CampaignSpec",
     "run_campaign",
-    "run_campaign_legacy",
-    "spec_from_kwargs",
 ]

@@ -202,17 +202,6 @@ def _obs_from_args(args: argparse.Namespace) -> Optional[ObsConfig]:
     )
 
 
-#: supervisor tuning flags that contradict ``--no-supervision``; the
-#: argparse defaults are ``None`` so explicit use is detectable
-_SUPERVISION_FLAGS = (
-    ("slot_budget", "--slot-budget"),
-    ("quarantine_after", "--quarantine-after"),
-    ("max_tasks_per_child", "--max-tasks-per-child"),
-)
-
-#: downstream default when --quarantine-after is not given
-DEFAULT_QUARANTINE_AFTER = 3
-
 #: snapshot tuning flags that require ``--snapshots``; argparse defaults
 #: are ``None`` so explicit use is detectable
 _SNAPSHOT_FLAGS = (
@@ -224,10 +213,6 @@ _SNAPSHOT_FLAGS = (
 def _validate_campaign_flags(args: argparse.Namespace) -> Optional[str]:
     """Flag-combination checks, rejected at parse time like the scalar
     argparse types.  Returns an error message or ``None``."""
-    if args.no_supervision:
-        for attr, flag in _SUPERVISION_FLAGS:
-            if getattr(args, attr) is not None:
-                return f"{flag} has no effect with --no-supervision"
     if args.snapshots and args.no_snapshots:
         return "--snapshots and --no-snapshots are mutually exclusive"
     if not args.snapshots:
@@ -272,10 +257,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             spec = CampaignSpec.from_dict(json.load(fh))
     else:
-        quarantine_after = (
-            args.quarantine_after if args.quarantine_after is not None
-            else DEFAULT_QUARANTINE_AFTER
-        )
         spec = CampaignSpec(
             testbed=_testbed_from_args(
                 args, max_events=args.max_events, run_budget=args.run_budget
@@ -289,10 +270,9 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             batch_size=args.batch_size,
             obs=_obs_from_args(args),
             supervision=SupervisionConfig(
-                enabled=not args.no_supervision,
                 slot_budget=args.slot_budget,
                 max_tasks_per_child=args.max_tasks_per_child,
-                quarantine_after=quarantine_after,
+                quarantine_after=args.quarantine_after,
             ),
             confirmation=ConfirmationPolicy(
                 baseline_runs=args.baseline_runs,
@@ -757,16 +737,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ignore any cache directory (including one from --spec)")
     sub.add_argument("--batch-size", type=_positive_int, default=8,
                      help="strategies dispatched per worker round-trip")
-    sub.add_argument("--no-supervision", action="store_true",
-                     help="run under the plain worker pool instead of the "
-                          "supervised (hang-proof) one")
     sub.add_argument("--slot-budget", type=_positive_float, default=None,
                      help="supervisor deadline: wall seconds a worker may spend "
                           "on one strategy before it is killed and respawned "
                           "(default: derived from --run-budget)")
-    sub.add_argument("--quarantine-after", type=_positive_int, default=None,
+    sub.add_argument("--quarantine-after", type=_positive_int,
+                     default=SupervisionConfig.quarantine_after,
                      help="worker kills/deaths a strategy may cause before it "
-                          f"is quarantined (default {DEFAULT_QUARANTINE_AFTER})")
+                          "is quarantined (default %(default)s)")
     sub.add_argument("--max-tasks-per-child", type=_positive_int, default=None,
                      help="recycle each worker after this many strategies")
     sub.add_argument("--baseline-runs", type=_positive_int, default=2,

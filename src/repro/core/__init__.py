@@ -40,7 +40,7 @@ from repro.core.strategy import Strategy
 from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
 from repro.core.executor import Executor, RunError, RunResult, TestbedConfig
 from repro.core.cache import RunCache, campaign_fingerprint, run_fingerprint
-from repro.core.parallel import RetryPolicy, WorkerPool
+from repro.core.parallel import RetryPolicy
 from repro.core.supervisor import SupervisedWorkerPool, SupervisionConfig
 from repro.core.checkpoint import CheckpointJournal, JournalCorrupt, JournalMismatch
 from repro.core.detector import (
@@ -67,7 +67,6 @@ __all__ = [
     "TestbedConfig",
     "RunCache",
     "RetryPolicy",
-    "WorkerPool",
     "SupervisedWorkerPool",
     "SupervisionConfig",
     "campaign_fingerprint",

@@ -34,7 +34,7 @@ from repro.core.detector import (
 )
 from repro.core.executor import Executor, RunError, RunOutcome, RunResult, TestbedConfig
 from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
-from repro.core.parallel import DEFAULT_BATCH_SIZE, WorkerPool, derive_seed, run_strategies
+from repro.core.parallel import DEFAULT_BATCH_SIZE, derive_seed, run_strategies
 from repro.core.strategy import Strategy
 from repro.core.supervisor import KIND_QUARANTINED, SupervisedWorkerPool, SupervisionConfig
 from repro.snap.config import SnapshotConfig
@@ -97,9 +97,8 @@ class CampaignResult:
     #: their worker (their ``RunError(kind="quarantined")`` also sits in
     #: ``errors``)
     quarantined_count: int = 0
-    #: supervisor lifetime counters (kills/respawns/quarantines/...) when
-    #: the campaign ran under a :class:`SupervisedWorkerPool`; empty dict
-    #: under the plain pool
+    #: lifetime counters (kills/respawns/quarantines/...) of the
+    #: :class:`SupervisedWorkerPool` the campaign ran on
     supervisor: Dict[str, int] = field(default_factory=dict)
     #: merged metrics snapshot (parent + all workers) when the campaign ran
     #: with metrics enabled; empty otherwise.  The payload written by
@@ -187,10 +186,11 @@ class Controller:
         one worker round-trip, and one worker pool is reused across all
         stages.
 
-        ``supervision`` (enabled) runs the stages under a
-        :class:`~repro.core.supervisor.SupervisedWorkerPool` — parent-side
-        deadlines, kill + respawn of wedged workers, and poison-strategy
-        quarantine; ``None`` or a disabled config keeps the plain pool.
+        ``supervision`` tunes the
+        :class:`~repro.core.supervisor.SupervisedWorkerPool` every stage
+        runs on — parent-side deadlines, kill + respawn of wedged workers,
+        and poison-strategy quarantine; ``None`` means
+        ``SupervisionConfig()``.
         ``confirmation`` replicates the baseline ``baseline_runs`` times
         and arms the detector's ``noise_sigmas`` band; ``None`` preserves
         the historical two fixed baseline seeds with no noise band.
@@ -221,7 +221,7 @@ class Controller:
         self.obs = obs
         self.cache_dir = cache_dir
         self.batch_size = batch_size
-        self.supervision = supervision
+        self.supervision = supervision if supervision is not None else SupervisionConfig()
         self.confirmation = confirmation
         self.snapshots = snapshots
         self.executor = Executor(config)
@@ -317,7 +317,7 @@ class Controller:
         report: Callable[[str, int, int], None],
         seed: Optional[int] = None,
         cache: Optional[RunCache] = None,
-        pool: Optional["WorkerPool"] = None,
+        pool: Optional[SupervisedWorkerPool] = None,
     ) -> Tuple[List[RunOutcome], int, int]:
         """Run one stage, skipping journaled outcomes and journaling new ones.
 
@@ -398,19 +398,14 @@ class Controller:
                           variant=self.config.variant):
                 # one pool shared by every stage (lazily spawned on first
                 # dispatch with real work — a fully-cached campaign never
-                # forks); supervision swaps in the hang-proof pool
-                with self._make_pool() as pool:
+                # forks)
+                with SupervisedWorkerPool(
+                    workers=self.workers, obs=self.obs, supervision=self.supervision
+                ) as pool:
                     return self._run_campaign(report, completed, journal, cache, pool)
         finally:
             if journal is not None:
                 journal.close()
-
-    def _make_pool(self) -> Any:
-        if self.supervision is not None and self.supervision.enabled:
-            return SupervisedWorkerPool(
-                workers=self.workers, obs=self.obs, supervision=self.supervision
-            )
-        return WorkerPool(workers=self.workers, obs=self.obs)
 
     def _evaluate(
         self, detector: AttackDetector, strategy: Strategy, run: RunResult, stage: str
@@ -439,8 +434,8 @@ class Controller:
         report: Callable[[str, int, int], None],
         completed: CompletedMap,
         journal: Optional[CheckpointJournal],
-        cache: Optional[RunCache] = None,
-        pool: Optional["WorkerPool"] = None,
+        cache: Optional[RunCache],
+        pool: SupervisedWorkerPool,
     ) -> CampaignResult:
         baseline, baseline_runs = self.run_baseline(cache)
         report("baseline", 1, 1)
@@ -576,18 +571,14 @@ class Controller:
             strategies_collapsed=dedup.collapsed_count,
             flaky=flaky,
             quarantined_count=sum(1 for e in errors if e.kind == KIND_QUARANTINED),
-            supervisor=(
-                {
-                    "kills": pool.kills,
-                    "worker_lost": pool.worker_lost,
-                    "respawns": pool.respawns,
-                    "recycled": pool.recycled,
-                    "redispatched": pool.redispatched,
-                    "quarantines": pool.quarantines,
-                }
-                if isinstance(pool, SupervisedWorkerPool)
-                else {}
-            ),
+            supervisor={
+                "kills": pool.kills,
+                "worker_lost": pool.worker_lost,
+                "respawns": pool.respawns,
+                "recycled": pool.recycled,
+                "redispatched": pool.redispatched,
+                "quarantines": pool.quarantines,
+            },
             metrics=metrics_snapshot,
             snapshots={
                 key[len("snap."):]: value

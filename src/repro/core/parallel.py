@@ -11,9 +11,12 @@ machines over TCP.
 Batched dispatch: work is shipped as :data:`WorkBatch` payloads — one
 shared (config, seed, retry policy, obs, stage) context plus a tuple of
 ``batch_size`` strategy slots — so a worker round-trip amortizes pickling
-and IPC over N runs instead of paying it per strategy.  One persistent
-:class:`WorkerPool` is shared across the baseline/sweep/confirm stages of a
-campaign instead of forking a fresh pool per stage.
+and IPC over N runs instead of paying it per strategy.  Parallel batches
+always run on a :class:`~repro.core.supervisor.SupervisedWorkerPool`; one
+persistent pool is shared across the baseline/sweep/confirm stages of a
+campaign instead of forking a fresh pool per stage.  ``workers <= 1``
+executes the batches in-process instead, which is the reference every
+parallel result is compared against.
 
 Cache front-end: when a :class:`~repro.core.cache.RunCache` is supplied,
 every slot is fingerprinted in the parent and looked up *before* dispatch —
@@ -48,12 +51,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import RunCache, run_fingerprint
 from repro.core.executor import Executor, RunError, RunOutcome, RunResult, TestbedConfig
@@ -64,6 +66,9 @@ from repro.obs.config import ObsConfig, configure_observability
 from repro.obs.metrics import BATCH_BUCKETS, METRICS, merge_snapshots
 from repro.obs.profiling import profile_run
 from repro.snap.config import SnapshotConfig
+
+if TYPE_CHECKING:
+    from repro.core.supervisor import SupervisedWorkerPool
 
 log = logging.getLogger("repro.core.parallel")
 
@@ -125,7 +130,7 @@ def run_id_for(stage: str, strategy_id: Optional[int], attempt: int) -> str:
 
 
 def _worker_init(obs_cfg: Optional[ObsConfig]) -> None:
-    """Pool initializer: give every fresh worker a clean telemetry slate.
+    """Worker initializer: give every fresh worker a clean telemetry slate.
 
     Forked workers inherit the parent's registry — baseline counts before
     the sweep pool, merged sweep totals before the confirm pool — and an
@@ -234,8 +239,8 @@ def fold_batch_latency(
     Runs right after the last slot's ``snapshot_and_reset``, so the
     registry contribution is exactly this one histogram sample; merging it
     into the last reply's delta ships it to the parent over the existing
-    per-slot channel — no protocol change, and every execution path
-    (serial, fork pool, supervised pool) reports the same metric.
+    per-slot channel — no protocol change, and both execution paths
+    (serial and supervised pool) report the same metric.
     """
     if not METRICS.enabled:
         return delta
@@ -247,8 +252,8 @@ def fold_batch_latency(
 
 
 def _execute_batch(batch: WorkBatch) -> List[SlotReply]:
-    """Top-level worker function: run one batch serially (picklable,
-    never raises)."""
+    """Run one batch in-process, slot by slot (the serial path; never
+    raises)."""
     (config, seed, policy, obs_cfg, stage, snap), slots = batch
     replies: List[SlotReply] = []
     batch_t0 = time.perf_counter()
@@ -269,68 +274,6 @@ def default_worker_count() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-class WorkerPool:
-    """A lazily-created multiprocessing pool reused across campaign stages.
-
-    The controller opens one of these for a whole campaign so the
-    baseline/sweep/confirm stages share warm workers instead of paying
-    fork + initializer cost per stage.  The underlying pool is only forked
-    on first parallel dispatch — a fully-cached campaign never forks at
-    all — and :meth:`invalidate` discards a pool whose workers died so the
-    next dispatch starts fresh.
-
-    Both this class and :class:`repro.core.supervisor.SupervisedWorkerPool`
-    expose the same dispatch protocol (``workers``, ``supervised``,
-    :meth:`dispatch`, :meth:`invalidate`, :meth:`close`), so
-    :func:`run_strategies` treats them interchangeably.
-    """
-
-    #: no parent-side deadline enforcement; see SupervisedWorkerPool
-    supervised = False
-
-    def __init__(self, workers: Optional[int] = None, obs: Optional[ObsConfig] = None):
-        self.workers = workers if workers is not None else default_worker_count()
-        self.obs = obs
-        self._pool: Optional[Any] = None
-
-    # ------------------------------------------------------------------
-    def _ensure(self) -> Any:
-        if self._pool is None:
-            context = multiprocessing.get_context("fork" if os.name == "posix" else "spawn")
-            self._pool = context.Pool(
-                processes=self.workers, initializer=_worker_init, initargs=(self.obs,)
-            )
-        return self._pool
-
-    def imap_unordered(self, func: Callable[..., Any], iterable: Sequence[Any]) -> Any:
-        """Dispatch pre-batched payloads (chunksize 1: batching is ours)."""
-        return self._ensure().imap_unordered(func, iterable, chunksize=1)
-
-    def dispatch(self, batches: Sequence[WorkBatch]) -> Any:
-        """Yield per-slot replies for every batch (the shared pool protocol)."""
-        for replies in self.imap_unordered(_execute_batch, batches):
-            yield from replies
-
-    def invalidate(self) -> None:
-        """Tear down a broken pool; the next dispatch recreates it."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 def run_strategies(
     config: TestbedConfig,
     strategies: Sequence[Optional[Strategy]],
@@ -344,8 +287,7 @@ def run_strategies(
     obs: Optional[ObsConfig] = None,
     stage: str = "sweep",
     cache: Optional[RunCache] = None,
-    pool: Optional[WorkerPool] = None,
-    chunksize: Optional[int] = None,
+    pool: Optional[SupervisedWorkerPool] = None,
     snapshots: Optional[SnapshotConfig] = None,
 ) -> List[RunOutcome]:
     """Run every strategy, in parallel when the pool allows it.
@@ -357,10 +299,11 @@ def run_strategies(
     as outcomes arrive — the latter is the checkpoint-journal hook, and it
     fires for cache hits too so a journal stays self-contained.
 
-    ``batch_size`` strategies share one worker round-trip (``chunksize`` is
-    the accepted legacy spelling).  ``pool`` reuses a caller-owned
-    :class:`WorkerPool` across stages; without one a transient pool is
-    created and torn down here.  ``cache`` short-circuits any slot whose
+    ``batch_size`` strategies share one worker round-trip.  ``pool`` reuses
+    a caller-owned :class:`~repro.core.supervisor.SupervisedWorkerPool`
+    across stages; without one a transient supervised pool is created and
+    torn down here.  A pool of one worker (or ``workers <= 1``) runs every
+    batch in-process instead.  ``cache`` short-circuits any slot whose
     fingerprint is already on disk and persists fresh clean results.
 
     ``obs`` switches on per-worker tracing/metrics/profiling; worker
@@ -373,8 +316,6 @@ def run_strategies(
     fingerprint before batching and eligible first attempts fork from a
     deep-copied prefix snapshot inside each worker (see :mod:`repro.snap`).
     """
-    if chunksize is not None:
-        batch_size = chunksize
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     policy = RetryPolicy(retries=retries, backoff=retry_backoff)
@@ -436,13 +377,14 @@ def run_strategies(
 
     owns_pool = pool is None
     if pool is None:
-        pool = WorkerPool(workers=workers, obs=obs)
+        # imported here because repro.core.supervisor imports this module
+        from repro.core.supervisor import SupervisedWorkerPool
+
+        pool = SupervisedWorkerPool(workers=workers, obs=obs)
     try:
-        # A supervised pool routes even a single pending slot through its
-        # workers so a hang can be killed from the parent; the plain pool
-        # keeps the historical single-slot serial shortcut.
-        serial = pool.workers <= 1 or (len(pending) <= 1 and not pool.supervised)
-        if serial:
+        # even a single pending slot goes through the workers, so a hang
+        # can be killed from the parent
+        if pool.workers <= 1:
             for batch in batches:
                 for reply in _execute_batch(batch):
                     absorb(reply)

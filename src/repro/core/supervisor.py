@@ -1,18 +1,18 @@
-"""Supervised execution: a hang-proof worker pool with poison quarantine.
+"""Supervised execution: the hang-proof worker pool with poison quarantine.
 
-:class:`~repro.core.parallel.WorkerPool` already isolates *exceptions* per
-strategy, and the in-worker watchdog cuts off runs that blow their
-simulator budgets — but both only work while the worker's Python loop is
-still advancing.  A worker stuck below that layer (wedged in C code,
-blocked in pickling, OOM-killed by the kernel) stalls
-``Pool.imap_unordered`` forever and deadlocks the whole sweep.  Real
-stateful-fuzzing harnesses (ProFuzzBench, SNPSFuzzer) treat harness death
-as a first-class, supervised event; this module does the same for the
-campaign runtime.
+:class:`SupervisedWorkerPool` is the only local worker pool: every
+parallel stage of a campaign, and every fabric worker host, runs on it.
+The executor isolates *exceptions* per strategy, and the in-worker
+watchdog cuts off runs that blow their simulator budgets — but both only
+work while the worker's Python loop is still advancing.  A worker stuck
+below that layer (wedged in C code, blocked in pickling, OOM-killed by the
+kernel) would stall a plain ``multiprocessing.Pool`` forever and deadlock
+the whole sweep.  Real stateful-fuzzing harnesses (ProFuzzBench,
+SNPSFuzzer) treat harness death as a first-class, supervised event; this
+module does the same for the campaign runtime.
 
-:class:`SupervisedWorkerPool` manages its own worker processes over
-per-worker duplex pipes, which buys four properties the stock pool cannot
-provide:
+The pool manages its own worker processes over per-worker duplex pipes,
+which buys four properties:
 
 * **Parent-side deadlines.**  Every slot announces a ``start`` heartbeat
   before executing; a worker whose in-flight slot exceeds its wall budget
@@ -35,9 +35,9 @@ provide:
 Workers are optionally recycled after ``max_tasks_per_child`` slots, the
 standard defence against slow leaks in long campaigns.
 
-Like ``WorkerPool``, workers are spawned lazily on first dispatch with
-actual work — a fully-cached campaign never forks — and the pool is shared
-across the baseline/sweep/confirm stages.
+Workers are spawned lazily on first dispatch with actual work — a
+fully-cached campaign never forks — and the pool is shared across the
+baseline/sweep/confirm stages.
 
 Fault hook (test/CI only): setting ``REPRO_TEST_FAULT=hang:<id>`` or
 ``crash:<id>`` makes workers hang or die whenever they pick up that
@@ -111,8 +111,6 @@ def _maybe_inject_fault(strategy_id: Optional[int]) -> None:
 class SupervisionConfig:
     """How the parent supervises its workers (picklable, spec-embeddable)."""
 
-    #: master switch: off = the stock ``WorkerPool`` runs the campaign
-    enabled: bool = True
     #: absolute wall seconds a worker may spend on one slot (all attempts);
     #: ``None`` derives a budget from the testbed's ``run_budget`` instead,
     #: and if that is also unset, hung workers are not deadline-killed
@@ -216,17 +214,16 @@ class _WorkerHandle:
 
 
 class SupervisedWorkerPool:
-    """Drop-in for :class:`~repro.core.parallel.WorkerPool` with parent-side
-    supervision: deadlines, kill + respawn, slot re-dispatch, recycling,
-    and poison-strategy quarantine (see the module docstring).
+    """The worker pool :func:`~repro.core.parallel.run_strategies`
+    dispatches to, with parent-side supervision: deadlines, kill + respawn,
+    slot re-dispatch, recycling, and poison-strategy quarantine (see the
+    module docstring).
 
     Counters (``kills``/``worker_lost``/``respawns``/``recycled``/
     ``redispatched``/``quarantines``) accumulate for the pool's lifetime
     and are mirrored into the metrics registry as ``supervisor.*`` when
     metrics are enabled.
     """
-
-    supervised = True
 
     def __init__(
         self,

@@ -51,8 +51,8 @@ from repro.api import CampaignSpec
 from repro.core.cache import RunCache, run_fingerprint
 from repro.core.controller import CampaignResult
 from repro.core.executor import RunOutcome
-from repro.core.parallel import WorkerPool
 from repro.core.strategy import Strategy
+from repro.core.supervisor import SupervisedWorkerPool
 from repro.fabric.ledger import ResultLedger
 from repro.fabric.leases import LeaseQueue, unit_fingerprint
 from repro.fabric.store import (
@@ -224,7 +224,7 @@ class _FabricStageRunner:
         strategies: List[Optional[Strategy]],
         seed: Optional[int],
         cache: Optional[RunCache],
-        pool: Optional[WorkerPool],
+        pool: Optional[SupervisedWorkerPool],
         on_result: Callable[[int, RunOutcome], None],
         progress: Callable[[int, int], None],
     ) -> List[RunOutcome]:

@@ -15,8 +15,9 @@ from repro.core.cache import (
 from repro.core.controller import Controller
 from repro.core.executor import RunError, RunResult, TestbedConfig
 from repro.core.generation import GenerationConfig, dedupe_strategies
-from repro.core.parallel import WorkerPool, run_strategies
+from repro.core.parallel import run_strategies
 from repro.core.strategy import Strategy
+from repro.core.supervisor import SupervisedWorkerPool
 from repro.obs.config import ObsConfig, configure_observability
 from repro.obs.metrics import METRICS
 
@@ -240,7 +241,7 @@ class TestBatchedDispatch:
     def test_batched_results_align_with_unbatched(self):
         strategies = self._strategies()
         unbatched = run_strategies(self.CONFIG, strategies, workers=1, batch_size=1)
-        with WorkerPool(workers=2) as pool:
+        with SupervisedWorkerPool(workers=2) as pool:
             batched = run_strategies(self.CONFIG, strategies, pool=pool, batch_size=2)
         assert [o.strategy_id for o in batched] == [s.strategy_id for s in strategies]
         for a, b in zip(unbatched, batched):
@@ -258,7 +259,7 @@ class TestBatchedDispatch:
         assert histogram["max"] == 2
 
     def test_pool_reuse_across_calls(self):
-        with WorkerPool(workers=2) as pool:
+        with SupervisedWorkerPool(workers=2) as pool:
             first = run_strategies(self.CONFIG, self._strategies(2), pool=pool)
             second = run_strategies(self.CONFIG, self._strategies(2), pool=pool,
                                     seed=12345, stage="confirm")

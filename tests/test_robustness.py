@@ -4,6 +4,7 @@ checkpoint/resume, and the chaos executor hook."""
 import json
 import os
 import pickle
+import threading
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from repro.core.executor import Executor, RunError, RunResult, TestbedConfig
 from repro.core.parallel import RetryPolicy, derive_seed, run_strategies
 from repro.core.reporting import render_campaign_health
 from repro.core.strategy import Strategy
+from repro.core.supervisor import SupervisedWorkerPool
 from repro.netsim.chaos import ChaosConfig, ChaosTap
 from repro.netsim.simulator import Simulator
 
@@ -54,12 +56,34 @@ class TestCrashIsolation:
             TestbedConfig(),
             [_strategy(1, 50), _strategy(2, BAD_PERCENT), _strategy(3, 60)],
             workers=2,
-            chunksize=1,
+            batch_size=1,
         )
         assert [o.strategy_id for o in outcomes] == [1, 2, 3]
         assert isinstance(outcomes[1], RunError)
         assert isinstance(outcomes[0], RunResult)
         assert isinstance(outcomes[2], RunResult)
+
+    def test_pool_failure_fills_unreplied_slots_with_worker_lost(self):
+        # an unpicklable strategy makes the pool's send raise mid-dispatch:
+        # every un-replied slot, the innocent neighbour included, comes back
+        # as an aligned placeholder that never reaches the journal hook
+        poison = Strategy(1, "tcp", "packet", state="ESTABLISHED", packet_type="ACK",
+                          action="drop", params={"percent": 50, "lock": threading.Lock()})
+        seen = []
+        with SupervisedWorkerPool(workers=2) as pool:
+            outcomes = run_strategies(
+                TestbedConfig(),
+                [poison, _strategy(2, 60)],
+                pool=pool,
+                batch_size=1,
+                on_result=lambda index, outcome: seen.append(index),
+            )
+        assert [o.strategy_id for o in outcomes] == [1, 2]
+        for outcome in outcomes:
+            assert isinstance(outcome, RunError)
+            assert outcome.kind == "worker-lost"
+            assert outcome.error_type == "TypeError"
+        assert seen == []
 
     def test_run_error_picklable_and_roundtrips(self):
         error = RunError(strategy_id=4, error_type="ValueError", message="boom",
@@ -429,11 +453,10 @@ class TestCliFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args([
-            "campaign", "--no-supervision", "--slot-budget", "7.5",
+            "campaign", "--slot-budget", "7.5",
             "--quarantine-after", "2", "--max-tasks-per-child", "50",
             "--baseline-runs", "3", "--noise-sigmas", "2.5",
         ])
-        assert args.no_supervision is True
         assert args.slot_budget == 7.5
         assert args.quarantine_after == 2
         assert args.max_tasks_per_child == 50
@@ -441,10 +464,10 @@ class TestCliFlags:
         assert args.noise_sigmas == 2.5
 
     @pytest.mark.parametrize("argv", [
-        # supervisor tuning flags are meaningless with supervision off
-        ["campaign", "--no-supervision", "--slot-budget", "5"],
-        ["campaign", "--no-supervision", "--quarantine-after", "2"],
-        ["campaign", "--no-supervision", "--max-tasks-per-child", "10"],
+        # snapshot tuning flags need --snapshots, which --no-snapshots contradicts
+        ["campaign", "--snapshots", "--no-snapshots"],
+        ["campaign", "--snap-verify-fraction", "0.5"],
+        ["campaign", "--snap-store", "snaps"],
         # bare --resume names no journal to resume from
         ["campaign", "--resume"],
         ["campaign", "--resume", "a.jsonl", "--checkpoint", "b.jsonl"],
@@ -462,6 +485,15 @@ class TestCliFlags:
         assert excinfo.value.code == 2
         assert argv[1] in capsys.readouterr().err
 
+    def test_removed_no_supervision_flag_rejected(self, capsys):
+        # every local campaign is supervised; the switch is gone
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["campaign", "--no-supervision"])
+        assert excinfo.value.code == 2
+        assert "--no-supervision" in capsys.readouterr().err
+
     def test_consistent_flag_combinations_accepted(self):
         from repro.cli import _validate_campaign_flags, build_parser
 
@@ -469,7 +501,6 @@ class TestCliFlags:
         for argv in (
             ["campaign", "--resume", "--checkpoint", "j.jsonl"],
             ["campaign", "--resume", "j.jsonl"],
-            ["campaign", "--no-supervision"],
             ["campaign", "--slot-budget", "5"],
             ["campaign", "--fabric", "--store", "s", "--lease-ttl", "5"],
         ):

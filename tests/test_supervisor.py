@@ -208,15 +208,20 @@ class TestSupervisedCampaign:
         rendered = render_campaign_health(result)
         assert "Quarantined" in rendered and "supervisor:" in rendered
 
-    def test_campaign_disabled_supervision_uses_plain_pool(self):
-        spec = CampaignSpec(
-            testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
-            workers=1,
+    def test_direct_controller_campaign_reports_supervisor_counters(self):
+        """A Controller built without a spec runs on the supervised pool
+        too: there is no unsupervised pool left to fall back to."""
+        controller = Controller(
+            TestbedConfig(protocol="tcp", variant="linux-3.13"),
+            workers=2,
             sample_every=500,
-            supervision=SupervisionConfig(enabled=False),
         )
-        result = run_campaign(spec)
-        assert result.supervisor == {}
+        assert controller.supervision == SupervisionConfig()
+        result = controller.run_campaign()
+        assert result.supervisor == {
+            "kills": 0, "worker_lost": 0, "respawns": 0,
+            "recycled": 0, "redispatched": 0, "quarantines": 0,
+        }
         assert result.quarantined_count == 0
 
 
