@@ -59,7 +59,7 @@ def bench_mode(mode: str, telemetry_interval: float, sample_every: int) -> dict:
     _reset_obs()
     with tempfile.TemporaryDirectory() as store:
         started = time.perf_counter()
-        result = run_campaign(_spec(store, telemetry_interval, sample_every))
+        result = run_campaign(_spec("dir://" + store, telemetry_interval, sample_every))
         wall = time.perf_counter() - started
     _reset_obs()
     counters = (result.metrics or {}).get("counters", {})

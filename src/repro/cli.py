@@ -59,6 +59,7 @@ from repro.core.reporting import (
     render_verdicts,
 )
 from repro.dccpstack.variants import DCCP_VARIANTS
+from repro.fabric.store import ArtifactStore, CampaignScopedStore, load_campaign_index
 from repro.obs import ObsConfig
 from repro.obs.store import (
     baseline_stats,
@@ -341,8 +342,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             sys.stderr.write(f"\r[{time.time() - started:6.1f}s] {stage}: {done}/{total}  ")
             sys.stderr.flush()
 
-    from repro.fabric.coordinator import FabricMismatch
+    from repro.fabric.coordinator import FabricMismatch, campaign_id_for
 
+    if spec.fabric is not None:
+        sys.stderr.write(f"fabric campaign {campaign_id_for(spec)} "
+                         f"on store {spec.fabric.store}\n")
     try:
         result = run_campaign(spec, progress=progress)
     except (JournalMismatch, FabricMismatch) as exc:
@@ -495,6 +499,25 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
+def _campaign_scope(
+    store: ArtifactStore, campaign: Optional[str]
+) -> Optional[ArtifactStore]:
+    """The ``campaigns/<id>/...`` view ``top``/``report`` read: the
+    ``--campaign`` one, else the store's only indexed campaign.  ``None``
+    (after an error line) when the index holds none or several."""
+    if campaign is None:
+        ids = sorted(load_campaign_index(store))
+        if not ids:
+            sys.stderr.write("error: the store holds no campaign\n")
+            return None
+        if len(ids) > 1:
+            sys.stderr.write(f"error: the store holds campaigns {', '.join(ids)}; "
+                             "pick one with --campaign\n")
+            return None
+        campaign = ids[0]
+    return CampaignScopedStore(store, campaign)
+
+
 def cmd_top(args: argparse.Namespace) -> int:
     """Live fleet view of a fabric campaign (``repro top --store ...``).
 
@@ -503,14 +526,16 @@ def cmd_top(args: argparse.Namespace) -> int:
     store.  The refresh loop exits on its own once the campaign manifest
     goes complete/failed; ``--once`` renders one frame for scripts and CI.
     """
-    from repro.fabric.store import StoreCorrupt, scoped_store, store_for
+    from repro.fabric.store import StoreCorrupt, store_for
     from repro.obs.fleet import FleetAggregator, fleet_overview
 
     store = store_for(
         args.store, retries=args.store_retries, backoff=args.store_backoff
     )
-    view = scoped_store(store, args.campaign)
     try:
+        view = _campaign_scope(store, args.campaign)
+        if view is None:
+            return 2
         # one long-lived aggregator, so no-progress straggler detection
         # works across refreshes (heartbeat stalls need only one frame)
         aggregator = FleetAggregator(view, stall_window=args.stall_window)
@@ -592,12 +617,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             return 2
     overview = None
     if args.store:
-        from repro.fabric.store import scoped_store, store_for
+        from repro.fabric.store import store_for
         from repro.obs.fleet import FleetAggregator, fleet_overview
 
         store = store_for(args.store)
-        view = scoped_store(store, args.campaign)
         try:
+            view = _campaign_scope(store, args.campaign)
+            if view is None:
+                return 2
             overview = fleet_overview(view)
             if not snapshot:
                 # every participant publishes its cumulative registry, so
@@ -783,8 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "executed in full and compared (default 0.05; "
                           "divergence disables snapshotting for that prefix)")
     sub.add_argument("--snap-store", metavar="STORE", default=None,
-                     help="persist snapshots to this artifact store (a directory, "
-                          "or sqlite:PATH / *.db) for cross-process reuse")
+                     help="persist snapshots to this artifact store (dir://PATH, "
+                          "sqlite://PATH or memory://NAME) for cross-process reuse")
     sub.add_argument("--fabric", action="store_true",
                      help="distribute the sweep over a shared artifact store; "
                           "repro worker processes pointed at the same --store "
@@ -888,11 +915,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "worker",
         help="serve leased work units from a shared fabric store",
-        description="Waits for a campaign manifest on the shared store, then "
-                    "claims, executes and commits leased work units until the "
-                    "campaign completes.  Start any number of these (on any "
-                    "host sharing the store) next to a campaign run with "
-                    "--fabric --store pointing at the same store.",
+        description="Waits for a running campaign on the shared store (from "
+                    "campaign --fabric or serve), then claims, executes and "
+                    "commits leased work units of every running campaign, "
+                    "round-robin, and exits once none is left running.  Start "
+                    "any number of these on any host sharing the store.",
     )
     sub.add_argument("--store", metavar="URL", required=True,
                      help="shared artifact store: dir://PATH, sqlite://PATH or "
@@ -900,13 +927,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="local worker-pool processes for executing unit slots")
     sub.add_argument("--poll", type=_positive_float, default=0.2,
-                     help="seconds between polls for a manifest / claimable work")
+                     help="seconds between polls for campaigns / claimable work")
     sub.add_argument("--once", action="store_true",
                      help="serve at most one work unit, then exit")
     sub.add_argument("--idle-exit", type=_positive_float, default=None,
                      help="exit after this many seconds with no claimable work")
     sub.add_argument("--manifest-timeout", type=_positive_float, default=None,
-                     help="give up if no campaign manifest appears in time "
+                     help="give up if no running campaign appears in time "
                           "(default: wait forever)")
     sub.add_argument("--trace-dir", metavar="DIR", default=None,
                      help="record this worker's JSONL event traces here")
@@ -927,15 +954,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tails the telemetry namespace of a shared fabric store "
                     "and renders workers (heartbeat age, progress, events/sec, "
                     "stragglers), lease states, per-stage completion and an "
-                    "ETA.  Exits when the campaign manifest goes "
-                    "complete/failed.",
+                    "ETA of one campaign: the store's only one unless "
+                    "--campaign names it.  Exits when the campaign manifest "
+                    "goes complete/failed.",
     )
     sub.add_argument("--store", metavar="URL", required=True,
                      help="shared artifact store: dir://PATH, sqlite://PATH or "
                           "memory://NAME (bare paths deprecated)")
     sub.add_argument("--campaign", metavar="ID", default=None,
-                     help="watch one service campaign (campaigns/<ID>/... scope) "
-                          "instead of the legacy root campaign")
+                     help="campaign to watch (default: the store's only "
+                          "campaign)")
     sub.add_argument("--interval", type=_positive_float, default=2.0,
                      help="seconds between refreshes (default 2)")
     sub.add_argument("--once", action="store_true",
@@ -954,7 +982,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_top)
 
     sub = subparsers.add_parser(
-        "report", help="inspect a recorded campaign's telemetry"
+        "report", help="inspect a recorded campaign's telemetry",
+        description="Renders a campaign's telemetry from a trace directory, a "
+                    "metrics snapshot and/or one campaign on a fabric store "
+                    "(the store's only one unless --campaign names it).",
     )
     sub.add_argument("trace_dir", metavar="TRACE_DIR", nargs="?", default=None,
                      help="trace directory written by campaign --trace-dir "
@@ -977,8 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "cross-host metrics stand in for METRICS when no "
                           "snapshot file is given)")
     sub.add_argument("--campaign", metavar="ID", default=None,
-                     help="report on one service campaign (campaigns/<ID>/... "
-                          "scope) instead of the legacy root campaign")
+                     help="campaign to report on (default: the store's only "
+                          "campaign)")
     sub.add_argument("--export-prom", metavar="FILE", default=None,
                      help="write the metrics snapshot in Prometheus text "
                           "exposition format to FILE")

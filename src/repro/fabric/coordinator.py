@@ -27,15 +27,16 @@ authoritative and only the coordinator turns ledger entries into journal
 lines / campaign outcomes: every fingerprint is collected exactly once,
 no matter how many workers executed it.
 
-Campaign identity comes in two layouts.  The legacy root layout (one
-implicit manifest per store, ``repro campaign --fabric``) allows one
-campaign per store at a time: a running manifest with a different spec
-fingerprint — or a same-fingerprint manifest whose coordinator is still
-heartbeating — raises :class:`FabricMismatch`; only a manifest whose
-coordinator has verifiably stopped (stale heartbeat) is adopted, because
-the ledger already holds its progress.  The multi-campaign layout keys
-everything under ``campaigns/<id>/...`` and multiplexes freely; it is
-what :class:`CampaignHandle` (and the HTTP service on top of it) uses.
+Every campaign lives in its own scope, ``campaigns/<id>/...``, with a
+record in the store's ``campaign-index``; only the run cache is shared at
+the store root.  The HTTP service picks a fresh id per submission;
+``repro campaign --fabric`` runs under the id derived from the spec
+fingerprint (:func:`campaign_id_for`), so campaigns of different specs
+run side by side on one store, and a same-spec restart lands in the same
+scope.  There a running manifest whose coordinator is still heartbeating
+raises :class:`FabricMismatch`, and one whose coordinator has verifiably
+stopped (stale heartbeat) is adopted, because the ledger already holds
+its progress.
 """
 
 from __future__ import annotations
@@ -59,10 +60,12 @@ from repro.fabric.store import (
     CAMPAIGN_CANCELLED,
     CAMPAIGN_COMPLETE,
     CAMPAIGN_FAILED,
+    CAMPAIGN_RUNNING,
     ArtifactStore,
+    CampaignScopedStore,
     StoreCorrupt,
     clear_statuses,
-    scoped_store,
+    register_campaign,
     store_for,
     update_campaign,
 )
@@ -101,17 +104,23 @@ class CampaignCancelled(RuntimeError):
     """The campaign was cancelled mid-run via :meth:`CampaignHandle.cancel`."""
 
 
-#: how stale a legacy manifest's coordinator heartbeat must be, in lease
-#: TTLs, before a same-fingerprint restart may adopt it
+#: how stale a running manifest's coordinator heartbeat must be, in lease
+#: TTLs, before a restart of the same campaign may adopt it
 ADOPT_STALE_TTLS = 2.0
+
+
+def campaign_id_for(spec: CampaignSpec) -> str:
+    """The id a campaign runs under when none is given: a prefix of the
+    spec fingerprint, so a restart of the same spec finds its scope."""
+    return spec.fingerprint()[:12]
 
 
 class _FabricStageRunner:
     """The controller's ``stage_runner``: stage execution as leased units.
 
-    ``store`` is the campaign's *view* — the store root in the legacy
-    layout, a ``campaigns/<id>/...`` scope otherwise.  ``cache_store``
-    is always the base store: the run cache is shared across campaigns.
+    ``store`` is the campaign's ``campaigns/<id>/...`` view;
+    ``cache_store`` is the base store, because the run cache is shared
+    across campaigns.
     """
 
     def __init__(
@@ -137,7 +146,6 @@ class _FabricStageRunner:
             workers=spec.workers,
             obs=spec.obs,
             poll_interval=self.fabric.poll_interval,
-            ledger=self.ledger,
         )
         # fleet telemetry plane: the coordinator publishes its own status
         # (role=coordinator, so the worker-metrics fold never double-counts
@@ -320,7 +328,9 @@ class _FabricStageRunner:
                 if not waiting:
                     break
                 if self.fabric.participate:
-                    if self.agent.run_one(self.spec, self.queue, self.cache, pool):
+                    if self.agent.run_one(
+                        self.spec, self.queue, self.ledger, self.cache, pool
+                    ):
                         continue  # executed a unit; collect its commits next pass
                 if progressed:
                     continue
@@ -378,11 +388,10 @@ class CampaignHandle:
     :meth:`start` and then talks to the handle from other threads via
     :meth:`poll` / :meth:`cancel` / :meth:`result`.
 
-    ``campaign_id=None`` drives the legacy root layout (one campaign per
-    store, adopt-or-mismatch semantics); a campaign id drives the
-    multi-campaign layout — every namespace scoped under
-    ``campaigns/<id>/...``, status mirrored into the campaign index, any
-    number of concurrent campaigns per store.  Pass an open ``store`` to
+    Every namespace is scoped under ``campaigns/<id>/...`` and the
+    handle's status is mirrored into the campaign index, so any number of
+    campaigns share one store.  ``campaign_id=None`` means the id derived
+    from the spec (:func:`campaign_id_for`).  Pass an open ``store`` to
     share one base store across handles (the service does); otherwise the
     handle opens ``spec.fabric.store`` itself and closes it when done.
     """
@@ -397,7 +406,7 @@ class CampaignHandle:
             raise ValueError("spec has no fabric configuration")
         self.spec = spec
         self.fabric = spec.fabric
-        self.campaign_id = campaign_id
+        self.campaign_id = campaign_id or campaign_id_for(spec)
         self.tenant = spec.tenant
         self.spec_fingerprint = spec.fingerprint()
         self._owns_store = store is None
@@ -406,7 +415,7 @@ class CampaignHandle:
             retries=self.fabric.store_retries,
             backoff=self.fabric.store_backoff,
         )
-        self.view = scoped_store(self.store, campaign_id)
+        self.view = CampaignScopedStore(self.store, self.campaign_id)
         #: the campaign-private metrics registry the drive thread records
         #: into (scoped via :meth:`ScopedMetrics.scoped`, folded into the
         #: process registry on completion) — concurrent campaigns in one
@@ -435,7 +444,7 @@ class CampaignHandle:
                 raise RuntimeError("campaign already started")
             self._thread = threading.Thread(
                 target=self._drive,
-                name=f"campaign-{self.campaign_id or 'legacy'}",
+                name=f"campaign-{self.campaign_id}",
                 daemon=True,
             )
         self._thread.start()
@@ -542,25 +551,26 @@ class CampaignHandle:
         return snapshot
 
     # ------------------------------------------------------------- drive
-    def _set_status(self, status: str) -> None:
+    def _set_status(self, status: str, mirror: bool = True) -> None:
         with self._lock:
             self._status = status
-        if self.campaign_id is not None:
-            try:
-                update_campaign(self.store, self.campaign_id, status=status)
-            except Exception:  # noqa: BLE001 - index mirror is best-effort
-                log.exception("fabric: campaign index update failed")
+        if not mirror:
+            return
+        try:
+            update_campaign(self.store, self.campaign_id, status=status)
+        except Exception:  # noqa: BLE001 - index mirror is best-effort
+            log.exception("fabric: campaign index update failed")
 
     def _guard_manifest(self) -> Optional[Dict[str, Any]]:
-        """Manifest admission for both layouts; returns the adopted
-        manifest (or ``None`` for a fresh scope).
+        """Manifest admission; returns the adopted manifest (or ``None``
+        for a fresh scope).
 
-        Legacy root layout: one campaign per store — a different running
-        fingerprint, or the same one under a live coordinator, is a
-        :class:`FabricMismatch`.  Multi-campaign scope: a fresh campaign
-        id has no manifest (normal submit); a *running* manifest under
-        this id is the service-HA re-attach path — adoptable only once
-        its previous coordinator's heartbeat went verifiably stale.
+        A scope without a running manifest is fresh.  A *running* manifest
+        under this id is a restart of the campaign (a CLI rerun of the
+        same spec, or the service re-attaching): adoptable only once its
+        previous coordinator's heartbeat went verifiably stale.  A live
+        coordinator, or a different spec under this id, is a
+        :class:`FabricMismatch`.
         """
         try:
             existing = self.view.get(NS_CAMPAIGN, KEY_MANIFEST)
@@ -569,39 +579,22 @@ class CampaignHandle:
         if existing is None or existing.get("status") != MANIFEST_RUNNING:
             return None
         if existing.get("spec_fingerprint") != self.spec_fingerprint:
-            if self.campaign_id is not None:
-                raise FabricMismatch(
-                    f"campaign {self.campaign_id!r} already carries a running "
-                    f"manifest for a different spec "
-                    f"({existing.get('spec_fingerprint')!r}); refusing to "
-                    "overwrite it"
-                )
             raise FabricMismatch(
-                f"store {self.fabric.store!r} already hosts a running campaign "
-                f"(spec {existing.get('spec_fingerprint')!r}); the legacy "
-                "layout fits one campaign per store — run concurrent "
-                "campaigns through the multi-campaign service instead "
-                "(`repro serve` + `repro submit`, see docs/service.md)"
+                f"campaign {self.campaign_id!r} already carries a running "
+                f"manifest for a different spec "
+                f"({existing.get('spec_fingerprint')!r}); refusing to "
+                "overwrite it"
             )
         beat = existing.get("coordinator_heartbeat_at")
         if beat is not None and (
             time.time() - float(beat) < ADOPT_STALE_TTLS * self.fabric.lease_ttl
         ):
-            if self.campaign_id is not None:
-                raise FabricMismatch(
-                    f"campaign {self.campaign_id!r} is still being driven by a "
-                    "heartbeating coordinator; refusing to double-drive it"
-                )
             raise FabricMismatch(
-                f"store {self.fabric.store!r} already hosts this exact "
-                "campaign under a coordinator that is still heartbeating; "
-                "refusing to adopt a live campaign — cancel it first, or "
-                "use the multi-campaign service for concurrent runs "
-                "(`repro serve` + `repro submit`, see docs/service.md)"
+                f"campaign {self.campaign_id!r} is still being driven by a "
+                "heartbeating coordinator; refusing to double-drive it"
             )
-        log.info("fabric: adopting stale manifest for %s "
-                 "(previous coordinator gone)",
-                 self.campaign_id or f"spec {self.spec_fingerprint[:12]}")
+        log.info("fabric: adopting stale manifest for campaign %s "
+                 "(previous coordinator gone)", self.campaign_id)
         return existing
 
     def _drive(
@@ -642,6 +635,14 @@ class CampaignHandle:
                 # status records from a previous run would read as
                 # long-dead stragglers (no-op on a fresh campaign scope)
                 clear_statuses(self.view)
+            # a record the service registered first keeps its quota
+            register_campaign(self.store, self.campaign_id, {
+                "campaign_id": self.campaign_id,
+                "tenant": self.tenant,
+                "spec_fingerprint": spec_fp,
+                "status": CAMPAIGN_RUNNING,
+                "created_at": time.time(),
+            })
             # the spec workers execute under: same computation, their own
             # runtime — no journal, no private cache dir, no nested fabric
             worker_spec = spec.with_overrides(
@@ -732,17 +733,19 @@ class CampaignHandle:
             if not self.done():
                 # failed before the manifest existed (admission, store
                 # trouble): still reach a terminal status so waiters and
-                # the service's reaper see the campaign as finished
+                # the service's reaper see the campaign as finished.  A
+                # refused admission leaves the index alone: its record
+                # belongs to the campaign that is still running.
                 self._set_status(
                     CAMPAIGN_CANCELLED if isinstance(error, CampaignCancelled)
-                    else CAMPAIGN_FAILED
+                    else CAMPAIGN_FAILED,
+                    mirror=not isinstance(error, FabricMismatch),
                 )
             if isinstance(error, (FabricMismatch, CampaignCancelled)):
                 log.info("fabric: campaign %s ended early: %s",
-                         self.campaign_id or spec_fp[:12], error)
+                         self.campaign_id, error)
             else:
-                log.exception("fabric: campaign %s failed",
-                              self.campaign_id or spec_fp[:12])
+                log.exception("fabric: campaign %s failed", self.campaign_id)
         finally:
             if self._owns_store:
                 self.store.close()
@@ -753,8 +756,8 @@ def run_fabric_campaign(
 ) -> CampaignResult:
     """Run one campaign distributed over a shared artifact store.
 
-    Thin blocking wrapper over :class:`CampaignHandle` with the legacy
-    root layout — the historical entry point, unchanged in contract.
+    Thin blocking wrapper over :class:`CampaignHandle`: the campaign runs
+    under the id derived from its spec (:func:`campaign_id_for`).
     """
     return CampaignHandle(spec).run(progress=progress)
 
@@ -764,5 +767,6 @@ __all__ = [
     "CampaignCancelled",
     "CampaignHandle",
     "FabricMismatch",
+    "campaign_id_for",
     "run_fabric_campaign",
 ]

@@ -1,12 +1,15 @@
 """The fabric worker: a per-host agent that executes leased work units.
 
-``repro worker --store <path>`` starts one of these next to a shared
-artifact store.  It waits for a coordinator to publish the campaign
-manifest, then loops: claim a unit, heartbeat its lease from a background
-thread, execute the unit's strategies through the same batched runtime a
-single-process campaign uses (a :class:`SupervisedWorkerPool` per host,
-tuned by the spec's ``supervision``), commit every outcome idempotently to
-the result ledger *as it arrives*, and mark the unit done.
+``repro worker --store URL`` starts one of these next to a shared
+artifact store.  It finds running campaigns through the store's campaign
+index — whether ``repro campaign --fabric`` or ``repro serve`` started
+them — and serves them round-robin: claim a unit, heartbeat its lease
+from a background thread, execute the unit's strategies through the same
+batched runtime a single-process campaign uses (a
+:class:`SupervisedWorkerPool` per campaign, tuned by the spec's
+``supervision``), commit every outcome idempotently to the campaign's
+result ledger *as it arrives*, and mark the unit done.  The worker exits
+once the index holds no running campaign.
 
 Crash semantics, in order of violence:
 
@@ -39,7 +42,7 @@ import socket
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.api import CampaignSpec
 from repro.core.cache import RunCache
@@ -53,8 +56,8 @@ from repro.fabric.store import (
     ACTIVE_CAMPAIGN_STATES,
     FAULT_ENV,
     ArtifactStore,
+    CampaignScopedStore,
     load_campaign_index,
-    scoped_store,
 )
 from repro.obs.bus import BUS
 from repro.obs.config import ObsConfig, configure_observability
@@ -118,28 +121,28 @@ def _fault(mode: str) -> Optional[str]:
 class _CampaignContext:
     """Everything the worker needs to serve one campaign on a shared store.
 
-    A context binds the campaign's *view* of the store (the root for the
-    legacy single-campaign layout, ``campaigns/<id>/...`` otherwise) to
-    its lease queue, ledger, fleet publisher and lazily-started worker
-    pool.  The run cache is deliberately *not* per-context: identical runs
-    are shared across campaigns and tenants at the store root.
+    A context binds the campaign's ``campaigns/<id>/...`` view of the
+    store to its lease queue, ledger, fleet publisher and lazily-started
+    worker pool.  The run cache is deliberately *not* per-context:
+    identical runs are shared across campaigns and tenants at the store
+    root.
     """
 
     def __init__(
         self,
         worker: "FabricWorker",
-        campaign_id: Optional[str],
-        record: Optional[Dict[str, Any]],
+        campaign_id: str,
+        record: Dict[str, Any],
         manifest: Dict[str, Any],
         cache: RunCache,
     ):
-        self.campaign_id = campaign_id  # None = legacy root layout
-        self.tenant = str((record or {}).get("tenant", "default"))
-        raw_quota = (record or {}).get("max_leased_units")
+        self.campaign_id = campaign_id
+        self.tenant = str(record.get("tenant", "default"))
+        raw_quota = record.get("max_leased_units")
         self.max_leased_units: Optional[int] = (
             None if raw_quota is None else int(raw_quota)
         )
-        self.store = scoped_store(worker.store, campaign_id)
+        self.store = CampaignScopedStore(worker.store, campaign_id)
         self.spec = CampaignSpec.from_dict(manifest["spec"])
         self.queue = LeaseQueue(self.store, ttl=float(manifest.get("lease_ttl", 30.0)))
         self.ledger = ResultLedger(self.store)
@@ -184,23 +187,20 @@ class FabricWorker:
         obs: Optional[ObsConfig] = None,
         poll_interval: float = 0.2,
         worker_id: Optional[str] = None,
-        ledger: Optional[ResultLedger] = None,
     ):
         self.store = store
         self.workers = workers
         self.obs = obs
         self.poll_interval = poll_interval
         self.worker_id = worker_id or default_worker_id()
-        self.ledger = ledger if ledger is not None else ResultLedger(store)
         self.stats: Dict[str, int] = {"units": 0, "runs": 0, "commits": 0, "duplicates": 0}
-        #: fleet-telemetry publisher; attached by :meth:`enable_telemetry`
-        #: (the interval comes from the campaign manifest)
+        #: fleet-telemetry publisher of the campaign being served (the
+        #: interval comes from its manifest); ``None`` with telemetry off
         self.fleet: Optional[FleetPublisher] = None
-        #: distinct campaigns this worker has executed units for (``None``
-        #: marks the legacy root campaign) — fairness tests read this
-        self.served_campaigns: Set[Optional[str]] = set()
+        #: distinct campaigns this worker has executed units for —
+        #: fairness tests read this
+        self.served_campaigns: Set[str] = set()
         self._rotation = 0
-        self._legacy_seen = False
         self._obs_configured = False
         self._commits_until_crash: Optional[int] = None
         raw = _fault("fabric-commit-crash")
@@ -208,28 +208,6 @@ class FabricWorker:
             self._commits_until_crash = max(1, int(raw))
 
     # ------------------------------------------------------------------
-    def enable_telemetry(self, interval: float, spec_fingerprint: Optional[str]) -> None:
-        """Attach a fleet publisher and force the metrics registry on.
-
-        The coordinator strips ``obs`` from the worker spec (workers own
-        their runtime), so a telemetry-carrying worker must self-enable
-        metrics — the status record's events/sec and cross-host registry
-        fold are empty otherwise.
-        """
-        if interval <= 0:
-            return
-        if self.obs is None:
-            self.obs = ObsConfig(metrics=True)
-        elif not self.obs.metrics:
-            self.obs = dataclasses.replace(self.obs, metrics=True)
-        self.fleet = FleetPublisher(
-            self.store,
-            self.worker_id,
-            role="worker",
-            interval=interval,
-            spec_fingerprint=spec_fingerprint,
-        )
-
     def _publish(
         self,
         phase: str,
@@ -243,30 +221,13 @@ class FabricWorker:
             )
 
     # ------------------------------------------------------------------
-    def _manifest(self) -> Optional[Dict[str, Any]]:
-        try:
-            return self.store.get(NS_CAMPAIGN, KEY_MANIFEST)
-        except Exception:
-            return None
-
-    def _wait_for_manifest(self, timeout: Optional[float]) -> Optional[Dict[str, Any]]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            manifest = self._manifest()
-            if manifest is not None and manifest.get("status") == MANIFEST_RUNNING:
-                return manifest
-            if manifest is not None and manifest.get("status") in (
-                MANIFEST_COMPLETE,
-                MANIFEST_FAILED,
-            ):
-                return manifest
-            if deadline is not None and time.monotonic() > deadline:
-                return None
-            time.sleep(self.poll_interval)
-
-    # ------------------------------------------------------------------
     def run_one(
-        self, spec: CampaignSpec, queue: LeaseQueue, cache: RunCache, pool: SupervisedWorkerPool
+        self,
+        spec: CampaignSpec,
+        queue: LeaseQueue,
+        ledger: ResultLedger,
+        cache: RunCache,
+        pool: SupervisedWorkerPool,
     ) -> bool:
         """Claim and execute one unit; ``False`` when nothing was claimable."""
         unit = queue.claim(self.worker_id)
@@ -340,7 +301,7 @@ class FabricWorker:
             thread.start()
 
         def commit(index: int, outcome: RunOutcome) -> None:
-            fresh = self.ledger.commit(stage, fingerprints[index], outcome)
+            fresh = ledger.commit(stage, fingerprints[index], outcome)
             self.stats["commits" if fresh else "duplicates"] += 1
             if self._commits_until_crash is not None:
                 self._commits_until_crash -= 1
@@ -401,53 +362,38 @@ class FabricWorker:
 
     def _refresh_contexts(
         self, contexts: Dict[str, _CampaignContext], shared_cache: RunCache
-    ) -> List[_CampaignContext]:
-        """Sync the context map with the store; return servable campaigns.
+    ) -> Tuple[List[_CampaignContext], bool]:
+        """Sync the context map with the store.
 
-        Both layouts are discovered every pass: the legacy root manifest
-        (key ``""``) and every index campaign whose record *and* scoped
-        manifest say running.  Contexts for ended campaigns are retired
-        (pool shut down, exited status published).
+        Returns the servable campaigns — index campaigns whose record
+        *and* scoped manifest say running — and whether the index holds
+        any running campaign at all (one may be registered before its
+        manifest is up).  Contexts for ended campaigns are retired (pool
+        shut down, exited status published).
         """
         active: List[_CampaignContext] = []
-        alive = set()
-        manifest = self._manifest()
-        if manifest is not None and manifest.get("status") == MANIFEST_RUNNING:
-            ctx = contexts.get("")
-            if ctx is None:
-                ctx = _CampaignContext(self, None, None, manifest, shared_cache)
-                contexts[""] = ctx
-                self._legacy_seen = True
-                self._on_context(ctx)
-            alive.add("")
-            active.append(ctx)
+        running = False
         for campaign_id, record in sorted(load_campaign_index(self.store).items()):
             if record.get("status") not in ACTIVE_CAMPAIGN_STATES:
                 continue
+            running = True
             ctx = contexts.get(campaign_id)
+            view = ctx.store if ctx is not None else CampaignScopedStore(self.store, campaign_id)
+            try:
+                manifest = view.get(NS_CAMPAIGN, KEY_MANIFEST)
+            except Exception:
+                manifest = None
+            if manifest is None or manifest.get("status") != MANIFEST_RUNNING:
+                continue  # no coordinator driving it yet, or ended (retired below)
             if ctx is None:
-                view = scoped_store(self.store, campaign_id)
-                try:
-                    scoped = view.get(NS_CAMPAIGN, KEY_MANIFEST)
-                except Exception:
-                    scoped = None
-                if scoped is None or scoped.get("status") != MANIFEST_RUNNING:
-                    continue  # submitted but no coordinator driving it yet
-                ctx = _CampaignContext(self, campaign_id, record, scoped, shared_cache)
+                ctx = _CampaignContext(self, campaign_id, record, manifest, shared_cache)
                 contexts[campaign_id] = ctx
                 self._on_context(ctx)
-            else:
-                try:
-                    scoped = ctx.store.get(NS_CAMPAIGN, KEY_MANIFEST)
-                except Exception:
-                    scoped = None
-                if scoped is None or scoped.get("status") != MANIFEST_RUNNING:
-                    continue  # retired below
-            alive.add(campaign_id)
             active.append(ctx)
+        alive = {ctx.campaign_id for ctx in active}
         for key in [k for k in contexts if k not in alive]:
             self._retire(contexts.pop(key))
-        return active
+        return active, running
 
     def _quota_blocked(
         self, ctx: _CampaignContext, active: List[_CampaignContext]
@@ -468,6 +414,8 @@ class FabricWorker:
     def _rotate(self, active: List[_CampaignContext]) -> List[_CampaignContext]:
         """Round-robin view of ``active``: each pass starts one further
         along, so no campaign monopolizes a worker while others starve."""
+        if not active:
+            return active
         start = self._rotation % len(active)
         self._rotation += 1
         return active[start:] + active[:start]
@@ -478,19 +426,16 @@ class FabricWorker:
         idle_exit: Optional[float] = None,
         manifest_timeout: Optional[float] = None,
     ) -> Dict[str, int]:
-        """Serve units until the campaign(s) end (or ``once``/``idle_exit``).
+        """Serve units until no campaign needs this worker.
 
-        The worker serves both store layouts at once: the legacy root
-        manifest (``repro campaign --fabric``) keeps its original
-        semantics — wait for it, drain it, exit when it ends — and every
-        running campaign in the multi-campaign index (the service) is
-        served round-robin, skipping campaigns whose tenant is at its
-        leased-units quota.
-
-        ``manifest_timeout`` bounds the initial wait for any campaign to
-        appear; ``idle_exit`` seconds with neither claimable work nor a
-        running campaign ends the loop — CI uses it so orphaned workers
-        cannot outlive their test.
+        Every running campaign in the store's index is served round-robin,
+        skipping campaigns whose tenant is at its leased-units quota.  One
+        lifetime rule covers them all: before serving anything, the worker
+        waits up to ``manifest_timeout`` seconds (default: forever) for a
+        running campaign; afterwards it exits once the index holds no
+        running campaign, or after ``idle_exit`` seconds with nothing
+        claimable (CI uses it so orphaned workers cannot outlive their
+        test).  ``once`` serves at most one unit.
         """
         deadline = (
             None if manifest_timeout is None else time.monotonic() + manifest_timeout
@@ -499,11 +444,10 @@ class FabricWorker:
         shared_cache = RunCache(self.store)
         idle_since: Optional[float] = None
         seen_work = False
-        index_seen = False
         try:
             while True:
                 try:
-                    active = self._refresh_contexts(contexts, shared_cache)
+                    active, running = self._refresh_contexts(contexts, shared_cache)
                 except OSError as error:
                     # store outage: the worker outlives it — back off and
                     # rediscover once the store answers again
@@ -512,39 +456,17 @@ class FabricWorker:
                                 self.worker_id, error)
                     time.sleep(self.poll_interval)
                     continue
-                index_seen = index_seen or any(
-                    c.campaign_id is not None for c in active
-                )
-                if not active:
-                    if not seen_work:
-                        manifest = self._manifest()
-                        if (
-                            manifest is not None
-                            and manifest.get("status") != MANIFEST_RUNNING
-                            and not load_campaign_index(self.store)
-                        ):
-                            log.info("worker %s: campaign already over; exiting",
-                                     self.worker_id)
-                            return self.stats
-                        if deadline is not None and time.monotonic() > deadline:
-                            log.info("worker %s: no running campaign manifest; "
-                                     "exiting", self.worker_id)
-                            return self.stats
-                        time.sleep(self.poll_interval)
-                        continue
-                    if self._legacy_seen and not index_seen:
-                        return self.stats  # the root campaign ended; drain out
-                    if once:
-                        return self.stats
-                    now = time.monotonic()
-                    if idle_since is None:
-                        idle_since = now
-                    if idle_exit is not None and now - idle_since > idle_exit:
-                        log.info("worker %s: idle for %.1fs; exiting",
-                                 self.worker_id, idle_exit)
+                if not active and not seen_work:
+                    if deadline is not None and time.monotonic() > deadline:
+                        log.info("worker %s: no running campaign; exiting",
+                                 self.worker_id)
                         return self.stats
                     time.sleep(self.poll_interval)
                     continue
+                if not running:
+                    log.info("worker %s: no running campaign left; exiting",
+                             self.worker_id)
+                    return self.stats
                 seen_work = True
                 served = False
                 for ctx in self._rotate(active):
@@ -552,9 +474,8 @@ class FabricWorker:
                         if self._quota_blocked(ctx, active):
                             continue
                         self.fleet = ctx.fleet
-                        self.ledger = ctx.ledger
                         claimed = self.run_one(
-                            ctx.spec, ctx.queue, ctx.cache, ctx.pool()
+                            ctx.spec, ctx.queue, ctx.ledger, ctx.cache, ctx.pool()
                         )
                     except OSError as error:
                         # store outage mid-unit: drop the attempt — the
@@ -569,13 +490,11 @@ class FabricWorker:
                         self.served_campaigns.add(ctx.campaign_id)
                         served = True
                         break
-                if served:
-                    idle_since = None
-                    if once:
-                        return self.stats
-                    continue
                 if once:
                     return self.stats
+                if served:
+                    idle_since = None
+                    continue
                 now = time.monotonic()
                 if idle_since is None:
                     idle_since = now

@@ -41,9 +41,9 @@ from repro.fabric.store import (
     ACTIVE_CAMPAIGN_STATES,
     CAMPAIGN_RUNNING,
     ArtifactStore,
+    CampaignScopedStore,
     load_campaign_index,
     register_campaign,
-    scoped_store,
     store_for,
 )
 from repro.fabric.worker import KEY_MANIFEST, MANIFEST_RUNNING, NS_CAMPAIGN
@@ -160,7 +160,7 @@ class CampaignService:
         if handle is not None and not handle.done():
             return None
         try:
-            manifest = scoped_store(self.store, campaign_id).get(
+            manifest = CampaignScopedStore(self.store, campaign_id).get(
                 NS_CAMPAIGN, KEY_MANIFEST
             )
         except Exception:  # noqa: BLE001 - torn or unreachable manifest

@@ -29,6 +29,7 @@ from repro.core.checkpoint import CheckpointJournal
 from repro.core.executor import RunError, RunResult, TestbedConfig
 from repro.core.strategy import Strategy
 from repro.fabric import (
+    CampaignScopedStore,
     LeaseQueue,
     LocalDirStore,
     MemoryStore,
@@ -37,12 +38,12 @@ from repro.fabric import (
     StoreCorrupt,
     load_campaign_index,
     register_campaign,
-    scoped_store,
     store_for,
     unit_fingerprint,
     update_campaign,
 )
 from repro.fabric.config import FabricConfig
+from repro.fabric.coordinator import campaign_id_for
 from repro.fabric.leases import NS_LEASES, NS_UNITS
 from repro.fabric.store import FAULT_ENV, _TORN_NAMESPACES
 from repro.fabric.worker import decode_strategy, encode_strategy
@@ -196,16 +197,17 @@ class TestStoreFor:
 
 class TestMultiCampaignLayout:
     def test_scoped_store_prefixes_every_namespace(self, store):
-        view = scoped_store(store, "abc123")
+        view = CampaignScopedStore(store, "abc123")
         view.put("leases", "u1", {"state": "pending"})
         assert store.get("campaigns/abc123/leases", "u1") == {"state": "pending"}
         assert view.get("leases", "u1") == {"state": "pending"}
         assert view.keys("leases") == ["u1"] and view.count("leases") == 1
         # campaigns cannot see each other's records
-        other = scoped_store(store, "def456")
+        other = CampaignScopedStore(store, "def456")
         assert other.get("leases", "u1") is None
-        # scoping with no campaign id is the identity
-        assert scoped_store(store, None) is store
+        # every view is a campaign scope: there is no unscoped one
+        with pytest.raises(ValueError):
+            CampaignScopedStore(store, "")
 
     def test_campaign_index_roundtrip(self, store):
         record = {"campaign_id": "abc", "tenant": "alice", "status": "running"}
@@ -380,7 +382,8 @@ def _hammer(spec, index, iterations, failures):
 class TestMultiProcessContention:
     @pytest.mark.parametrize("backend", ["dir", "sqlite"])
     def test_hammering_shared_store_survives(self, backend, tmp_path):
-        spec = str(tmp_path / ("store.db" if backend == "sqlite" else "store"))
+        spec = ("sqlite://" + str(tmp_path / "store.db") if backend == "sqlite"
+                else "dir://" + str(tmp_path / "store"))
         ctx = multiprocessing.get_context("fork")
         failures = ctx.Queue()
         procs = [
@@ -425,7 +428,7 @@ class TestFabricCampaign:
     def test_single_process_fabric_matches_plain(self, tmp_path):
         plain = run_campaign(_fast_spec())
         spec = _fast_spec(fabric=FabricConfig(
-            store=str(tmp_path / "store"), lease_ttl=10.0, lease_size=3))
+            store="dir://" + str(tmp_path / "store"), lease_ttl=10.0, lease_size=3))
         distributed = run_campaign(spec)
         assert distributed.table1_row() == plain.table1_row()
         assert distributed.strategies_tried == plain.strategies_tried
@@ -444,7 +447,7 @@ class TestFabricCampaign:
         journal_path = str(tmp_path / "journal.jsonl")
         spec = _fast_spec(
             checkpoint=journal_path,
-            fabric=FabricConfig(store=str(tmp_path / "store"), lease_size=2),
+            fabric=FabricConfig(store="dir://" + str(tmp_path / "store"), lease_size=2),
         )
         result = run_campaign(spec)
         lines = [json.loads(line) for line in open(journal_path)][1:]  # skip header
@@ -453,7 +456,7 @@ class TestFabricCampaign:
         assert len(entries) >= result.strategies_tried > 0
 
     def test_second_fabric_run_is_served_from_shared_cache(self, tmp_path):
-        fabric = FabricConfig(store=str(tmp_path / "store"), lease_size=4)
+        fabric = FabricConfig(store="dir://" + str(tmp_path / "store"), lease_size=4)
         first = run_campaign(_fast_spec(fabric=fabric))
         again = run_campaign(_fast_spec(fabric=fabric))
         assert again.table1_row() == first.table1_row()
@@ -461,19 +464,35 @@ class TestFabricCampaign:
         assert again.fabric["leases_enqueued"] == 0
         assert again.fabric["worker_units"] == 0
 
-    def test_mismatched_running_campaign_is_rejected(self, tmp_path):
-        from repro.fabric.coordinator import FabricMismatch
+    def test_foreign_running_campaign_does_not_block_other_spec(self, tmp_path):
+        # another spec's live campaign has its own scope: both run side by
+        # side on one store, and the foreign campaign is left untouched
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
-        store_path = str(tmp_path / "store")
-        backend = store_for(store_path)
-        backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
+        store_url = "dir://" + str(tmp_path / "store")
+        foreign = {
             "spec": {}, "spec_fingerprint": "somebody-else",
             "status": "running", "lease_ttl": 30.0,
-        })
+            "coordinator_heartbeat_at": time.time(),
+        }
+        backend = store_for(store_url)
+        register_campaign(backend, "somebody-else", {
+            "campaign_id": "somebody-else", "status": "running"})
+        CampaignScopedStore(backend, "somebody-else").put(
+            NS_CAMPAIGN, KEY_MANIFEST, foreign)
         backend.close()
-        with pytest.raises(FabricMismatch):
-            run_campaign(_fast_spec(fabric=FabricConfig(store=store_path)))
+        spec = _fast_spec(fabric=FabricConfig(store=store_url))
+        result = run_campaign(spec)
+        assert result.strategies_tried > 0
+        backend = store_for(store_url)
+        try:
+            index = load_campaign_index(backend)
+            assert index["somebody-else"]["status"] == "running"
+            assert index[campaign_id_for(spec)]["status"] == "complete"
+            assert CampaignScopedStore(backend, "somebody-else").get(
+                NS_CAMPAIGN, KEY_MANIFEST) == foreign
+        finally:
+            backend.close()
 
     def test_live_same_spec_campaign_is_not_adopted(self, tmp_path):
         # same fingerprint but its coordinator is verifiably alive (fresh
@@ -482,10 +501,13 @@ class TestFabricCampaign:
         from repro.fabric.coordinator import FabricMismatch
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
-        store_path = str(tmp_path / "store")
-        spec = _fast_spec(fabric=FabricConfig(store=store_path, lease_ttl=30.0))
-        backend = store_for("dir://" + store_path)
-        backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
+        store_url = "dir://" + str(tmp_path / "store")
+        spec = _fast_spec(fabric=FabricConfig(store=store_url, lease_ttl=30.0))
+        campaign_id = campaign_id_for(spec)
+        backend = store_for(store_url)
+        register_campaign(backend, campaign_id, {
+            "campaign_id": campaign_id, "status": "running"})
+        CampaignScopedStore(backend, campaign_id).put(NS_CAMPAIGN, KEY_MANIFEST, {
             "spec": {}, "spec_fingerprint": spec.fingerprint(),
             "status": "running", "lease_ttl": 30.0,
             "coordinator_heartbeat_at": time.time(),
@@ -493,16 +515,22 @@ class TestFabricCampaign:
         backend.close()
         with pytest.raises(FabricMismatch, match="heartbeat"):
             run_campaign(spec)
+        # the refused restart must not mark the live campaign failed
+        backend = store_for(store_url)
+        try:
+            assert load_campaign_index(backend)[campaign_id]["status"] == "running"
+        finally:
+            backend.close()
 
     def test_stale_same_spec_campaign_is_adopted(self, tmp_path):
         # ...but once the heartbeat is stale the previous coordinator is
         # gone, and adopting (resuming on the existing ledger) is safe
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
-        store_path = str(tmp_path / "store")
-        spec = _fast_spec(fabric=FabricConfig(store=store_path, lease_ttl=1.0))
-        backend = store_for("dir://" + store_path)
-        backend.put(NS_CAMPAIGN, KEY_MANIFEST, {
+        store_url = "dir://" + str(tmp_path / "store")
+        spec = _fast_spec(fabric=FabricConfig(store=store_url, lease_ttl=1.0))
+        backend = store_for(store_url)
+        CampaignScopedStore(backend, campaign_id_for(spec)).put(NS_CAMPAIGN, KEY_MANIFEST, {
             "spec": {}, "spec_fingerprint": spec.fingerprint(),
             "status": "running", "lease_ttl": 1.0,
             "coordinator_heartbeat_at": time.time() - 60.0,
@@ -525,7 +553,7 @@ class TestFabricCampaign:
 # account every result exactly once anyway.
 
 class TestFabricChaos:
-    def _spawn_worker(self, store_path, fault=None, metrics_out=None):
+    def _spawn_worker(self, store_path, fault=None, metrics_out=None, idle_exit="10"):
         env = dict(os.environ)
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -533,15 +561,16 @@ class TestFabricChaos:
         if fault:
             env["REPRO_TEST_FAULT"] = fault
         argv = [sys.executable, "-m", "repro", "worker", "--store", store_path,
-                "--workers", "1", "--manifest-timeout", "60", "--idle-exit", "10",
-                "--poll", "0.05"]
+                "--workers", "1", "--manifest-timeout", "60", "--poll", "0.05"]
+        if idle_exit is not None:
+            argv += ["--idle-exit", idle_exit]
         if metrics_out:
             argv += ["--metrics-out", metrics_out]
         return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL)
 
     def test_worker_killed_mid_sweep_is_reclaimed_exactly_once(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = "dir://" + str(tmp_path / "store")
         journal_path = str(tmp_path / "journal.jsonl")
         metrics_path = str(tmp_path / "healthy-metrics.json")
         spec = _fast_spec(
@@ -594,6 +623,24 @@ class TestFabricChaos:
         assert len(entries) == len(set(entries))
         assert len(entries) >= result.strategies_tried > 0
 
+    def test_worker_exits_without_idle_exit_once_campaign_completes(self, tmp_path):
+        # one lifetime rule: after serving, a worker drains out as soon as
+        # the index holds no running campaign (no --idle-exit needed)
+        store_url = "dir://" + str(tmp_path / "store")
+        worker = self._spawn_worker(store_url, idle_exit=None)
+        try:
+            # participate=False: the campaign cannot finish without it
+            result = run_campaign(_fast_spec(fabric=FabricConfig(
+                store=store_url, lease_size=2, poll_interval=0.05,
+                participate=False)))
+            assert result.strategies_tried > 0
+            worker.wait(timeout=30)
+            assert worker.returncode == 0
+        finally:
+            if worker.poll() is None:  # pragma: no cover - cleanup
+                worker.send_signal(signal.SIGKILL)
+                worker.wait()
+
 
 # ----------------------------------------------------------------------
 # CLI surface.
@@ -618,9 +665,29 @@ class TestWorkerCli:
         assert "--store" in capsys.readouterr().err
 
     def test_worker_without_campaign_exits_cleanly(self, tmp_path, capsys):
-        rc = main(["worker", "--store", str(tmp_path / "store"),
+        rc = main(["worker", "--store", "dir://" + str(tmp_path / "store"),
                    "--manifest-timeout", "0.1"])
         assert rc == 0
+
+    def test_cli_fabric_campaign_is_an_indexed_campaign(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        spec = _fast_spec(fabric=FabricConfig(store="dir://" + str(store_dir)))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        assert main(["campaign", "--spec", str(spec_path)]) == 0
+        campaign_id = campaign_id_for(spec)
+        assert f"fabric campaign {campaign_id}" in capsys.readouterr().err
+        backend = store_for("dir://" + str(store_dir))
+        try:
+            (record,) = load_campaign_index(backend).values()
+        finally:
+            backend.close()
+        assert record["campaign_id"] == campaign_id
+        assert record["spec_fingerprint"] == spec.fingerprint()
+        assert record["tenant"] == spec.tenant
+        assert record["status"] == "complete"
+        # one layout: nothing but the index, the scopes and the shared cache
+        assert sorted(os.listdir(store_dir)) == ["campaign-index", "campaigns", "runs"]
 
     def test_campaign_fabric_flags_parse(self):
         from repro.cli import build_parser

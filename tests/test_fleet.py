@@ -23,7 +23,16 @@ from repro.api import CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.executor import TestbedConfig
 from repro.fabric import FabricConfig, LocalDirStore, store_for
-from repro.fabric.store import NS_TELEMETRY, clear_statuses, load_statuses, publish_status
+from repro.fabric.coordinator import campaign_id_for
+from repro.fabric.store import (
+    NS_TELEMETRY,
+    CampaignScopedStore,
+    clear_statuses,
+    load_campaign_index,
+    load_statuses,
+    publish_status,
+    register_campaign,
+)
 from repro.obs.bus import BUS, MemorySink
 from repro.obs.config import ObsConfig, configure_observability
 from repro.obs.fleet import (
@@ -300,17 +309,31 @@ class TestPrometheusExport:
         assert prometheus_text({}) == "\n"
 
 
+def _campaign_statuses(store_url):
+    """Status records of the store's only indexed campaign."""
+    backend = store_for(store_url)
+    try:
+        (campaign_id,) = load_campaign_index(backend)
+        return load_statuses(CampaignScopedStore(backend, campaign_id))
+    finally:
+        backend.close()
+
+
 class TestTopCli:
-    def _seed(self, tmp_path):
-        store_path = str(tmp_path / "store")
+    def _seed(self, tmp_path, campaign_ids=("abc123",)):
+        store_path = "dir://" + str(tmp_path / "store")
         backend = store_for(store_path)
-        backend.put("campaign", "manifest", {
-            "status": "complete", "spec_fingerprint": "abc123",
-            "lease_ttl": 30.0, "created_at": time.time() - 5.0,
-        })
-        publish_status(backend, "w1", _record(
-            "w1", time.time(), units=2, commits=8,
-            metrics={"counters": {"sim.events": 999}}))
+        for campaign_id in campaign_ids:
+            register_campaign(backend, campaign_id, {
+                "campaign_id": campaign_id, "status": "complete"})
+            view = CampaignScopedStore(backend, campaign_id)
+            view.put("campaign", "manifest", {
+                "status": "complete", "spec_fingerprint": campaign_id,
+                "lease_ttl": 30.0, "created_at": time.time() - 5.0,
+            })
+            publish_status(view, "w1", _record(
+                "w1", time.time(), units=2, commits=8,
+                metrics={"counters": {"sim.events": 999}}))
         backend.close()
         return store_path
 
@@ -358,6 +381,14 @@ class TestTopCli:
     def test_report_without_sources_is_an_error(self, capsys):
         assert main(["report"]) == 2
 
+    def test_top_needs_campaign_when_store_holds_several(self, tmp_path, capsys):
+        store_path = self._seed(tmp_path, campaign_ids=("abc123", "def456"))
+        assert main(["top", "--store", store_path, "--once"]) == 2
+        assert "abc123, def456" in capsys.readouterr().err
+        assert main(["top", "--store", store_path, "--once", "--json",
+                     "--campaign", "def456"]) == 0
+        assert json.loads(capsys.readouterr().out)["manifest"]["spec_fingerprint"] == "def456"
+
     def test_telemetry_flags_require_fabric(self, tmp_path):
         for flag, value in (("--telemetry-interval", "2"), ("--stall-window", "5")):
             with pytest.raises(SystemExit) as excinfo:
@@ -393,7 +424,7 @@ def _fast_spec(**overrides):
 
 class TestFleetCampaign:
     def test_single_process_fabric_has_fleet_counters(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = "dir://" + str(tmp_path / "store")
         result = run_campaign(_fast_spec(fabric=FabricConfig(
             store=store_path, telemetry_interval=0.05, stall_window=30.0)))
         assert result.fabric["telemetry_workers"] == 0  # coordinator only
@@ -401,37 +432,27 @@ class TestFleetCampaign:
         counters = result.metrics["counters"]
         assert counters["fabric.telemetry_workers"] == 0
         # the coordinator's own record was published and marked exited
-        backend = store_for(store_path)
-        try:
-            statuses = load_statuses(backend)
-        finally:
-            backend.close()
-        (record,) = statuses.values()
+        (record,) = _campaign_statuses(store_path).values()
         assert record["role"] == ROLE_COORDINATOR
         assert record["phase"] == PHASE_EXITED
 
     def test_telemetry_disabled_publishes_nothing(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = "dir://" + str(tmp_path / "store")
         run_campaign(_fast_spec(fabric=FabricConfig(
             store=store_path, telemetry_interval=0.0)))
-        backend = store_for(store_path)
-        try:
-            assert load_statuses(backend) == {}
-        finally:
-            backend.close()
+        assert _campaign_statuses(store_path) == {}
 
     def test_fresh_campaign_clears_stale_telemetry(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = "dir://" + str(tmp_path / "store")
+        spec = _fast_spec(fabric=FabricConfig(
+            store=store_path, telemetry_interval=0.05))
+        # a ghost left in this spec's scope by an earlier run
         backend = store_for(store_path)
-        publish_status(backend, "ghost", _record("ghost", updated_at=1.0))
+        publish_status(CampaignScopedStore(backend, campaign_id_for(spec)),
+                       "ghost", _record("ghost", updated_at=1.0))
         backend.close()
-        run_campaign(_fast_spec(fabric=FabricConfig(
-            store=store_path, telemetry_interval=0.05)))
-        backend = store_for(store_path)
-        try:
-            assert "ghost" not in load_statuses(backend)
-        finally:
-            backend.close()
+        run_campaign(spec)
+        assert "ghost" not in _campaign_statuses(store_path)
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +473,7 @@ class TestFleetEndToEnd:
                                 stderr=subprocess.DEVNULL)
 
     def test_worker_host_metrics_reach_campaign_result(self, tmp_path):
-        store_path = str(tmp_path / "store")
+        store_path = "dir://" + str(tmp_path / "store")
         spec = _fast_spec(fabric=FabricConfig(
             store=store_path, lease_ttl=5.0, lease_size=2, poll_interval=0.1,
             participate=False, telemetry_interval=0.1, stall_window=30.0))
@@ -483,11 +504,7 @@ class TestFleetEndToEnd:
         assert counters.get("sim.events", 0) > 0
         assert counters.get("runs.completed", 0) > 0
         # telemetry survives campaign completion for post-hoc `repro top`
-        backend = store_for(store_path)
-        try:
-            statuses = load_statuses(backend)
-        finally:
-            backend.close()
+        statuses = _campaign_statuses(store_path)
         roles = {r["role"] for r in statuses.values()}
         assert roles >= {ROLE_WORKER, ROLE_COORDINATOR}
         assert all(r["phase"] == PHASE_EXITED for r in statuses.values()

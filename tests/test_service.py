@@ -403,7 +403,7 @@ class TestServiceHA:
         """Plant a running index record + scoped manifest whose coordinator
         heartbeat stopped ``beat_age`` seconds ago — exactly what a killed
         ``repro serve`` leaves behind."""
-        from repro.fabric.store import register_campaign, scoped_store
+        from repro.fabric.store import CampaignScopedStore, register_campaign
         from repro.fabric.worker import KEY_MANIFEST, NS_CAMPAIGN
 
         spec = CampaignSpec(
@@ -418,7 +418,7 @@ class TestServiceHA:
             "created_at": time.time() - beat_age,
             "updated_at": time.time() - beat_age,
         })
-        scoped_store(store, campaign_id).put(NS_CAMPAIGN, KEY_MANIFEST, {
+        CampaignScopedStore(store, campaign_id).put(NS_CAMPAIGN, KEY_MANIFEST, {
             "spec": spec.to_dict(), "spec_fingerprint": fingerprint,
             "status": "running", "lease_ttl": 2.0,
             "telemetry_interval": 0.2, "stall_window": 15.0,

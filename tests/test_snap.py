@@ -262,7 +262,7 @@ class TestSnapshotCache:
             assert all(fp == survivor for _boundary, fp in entries)
 
     def test_persistent_store_round_trip(self, tmp_path, metrics):
-        store_path = str(tmp_path / "store")
+        store_path = "dir://" + str(tmp_path / "store")
         snap = SnapshotConfig(enabled=True, verify_fraction=0.0, min_events=0,
                               store=store_path)
         first = SnapshotEngine(snap).execute(TCP_CONFIG, _packet(), None)
@@ -282,7 +282,7 @@ class TestSnapshotCache:
         assert comparable_result(second) == comparable_result(first)
 
     def test_corrupt_store_record_is_dropped_and_rebuilt(self, tmp_path, metrics):
-        store_path = str(tmp_path / "store")
+        store_path = "dir://" + str(tmp_path / "store")
         snap = SnapshotConfig(enabled=True, verify_fraction=0.0, min_events=0,
                               store=store_path)
         first = SnapshotEngine(snap).execute(TCP_CONFIG, _packet(), None)
@@ -308,7 +308,7 @@ class TestSnapshotCache:
         assert fresh is not None and fresh["blob"] != record["blob"]
 
     def test_stale_version_record_is_rejected(self, tmp_path, metrics):
-        store_path = str(tmp_path / "store")
+        store_path = "dir://" + str(tmp_path / "store")
         snap = SnapshotConfig(enabled=True, verify_fraction=0.0, min_events=0,
                               store=store_path)
         fingerprint = prefix_fingerprint(TCP_CONFIG, None,
