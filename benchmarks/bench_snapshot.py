@@ -6,7 +6,7 @@ Measures two regimes over the same strategy workload:
 * ``sweep`` — everything the engine does from cold (scout run, snapshot
   builds, forks, elisions, and full-run fallbacks for ineligible
   strategies) against executing every strategy in full.  This is what a
-  single ``--snapshots`` campaign sees end to end.
+  single forking campaign sees end to end.
 * ``warm``  — the engine pre-warmed (scout cached, snapshots built),
   restricted to the strategies it actually serves.  This is the
   steady-state fork throughput a long sweep amortizes toward, and the

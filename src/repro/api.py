@@ -112,7 +112,8 @@ class CampaignSpec:
     #: Like workers/batch_size, this changes *how* the campaign runs, not
     #: what it computes, so it is excluded from :meth:`fingerprint`.
     fabric: Optional[FabricConfig] = None
-    #: snapshot/fork engine (see :mod:`repro.snap`); disabled by default.
+    #: snapshot/fork engine (see :mod:`repro.snap`); on by default, and
+    #: engaged by the sweep stage only.
     #: Fingerprint-neutral for the same reason as ``supervision``: the
     #: determinism contract guarantees identical outcomes either way.
     snapshots: SnapshotConfig = field(default_factory=SnapshotConfig)

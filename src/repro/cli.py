@@ -203,8 +203,8 @@ def _obs_from_args(args: argparse.Namespace) -> Optional[ObsConfig]:
     )
 
 
-#: snapshot tuning flags that require ``--snapshots``; argparse defaults
-#: are ``None`` so explicit use is detectable
+#: snapshot tuning flags that contradict ``--no-snapshots``; argparse
+#: defaults are ``None`` so explicit use is detectable
 _SNAPSHOT_FLAGS = (
     ("snap_verify_fraction", "--snap-verify-fraction"),
     ("snap_store", "--snap-store"),
@@ -214,12 +214,10 @@ _SNAPSHOT_FLAGS = (
 def _validate_campaign_flags(args: argparse.Namespace) -> Optional[str]:
     """Flag-combination checks, rejected at parse time like the scalar
     argparse types.  Returns an error message or ``None``."""
-    if args.snapshots and args.no_snapshots:
-        return "--snapshots and --no-snapshots are mutually exclusive"
-    if not args.snapshots:
+    if args.no_snapshots:
         for attr, flag in _SNAPSHOT_FLAGS:
             if getattr(args, attr) is not None:
-                return f"{flag} has no effect without --snapshots"
+                return f"{flag} has no effect with --no-snapshots"
     if args.resume is True and not args.checkpoint:
         # bare --resume names no journal; require --checkpoint to supply it
         return "--resume without a journal requires --checkpoint"
@@ -248,10 +246,10 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
     ``--spec-out`` or by hand) and takes precedence over the per-field
     flags; ``--no-cache`` still applies on top so a cached spec can be
     forced to re-execute, ``--fabric --store`` still applies on top so
-    a recorded spec can be re-run distributed, and
-    ``--snapshots``/``--no-snapshots`` still apply on top (they are
-    fingerprint-neutral, so toggling them never changes the campaign's
-    identity).
+    a recorded spec can be re-run distributed, and ``--no-snapshots``,
+    ``--snap-verify-fraction`` and ``--snap-store`` still apply on top
+    (they are fingerprint-neutral, so toggling them never changes the
+    campaign's identity).
     """
     resume_path = args.resume if isinstance(args.resume, str) else None
     if args.spec:
@@ -284,8 +282,8 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         spec = spec.with_overrides(cache_dir=None)
     if args.no_snapshots:
         spec = spec.with_overrides(snapshots=replace(spec.snapshots, enabled=False))
-    elif args.snapshots:
-        snap_overrides = {"enabled": True}
+    else:
+        snap_overrides = {}
         if args.snap_verify_fraction is not None:
             snap_overrides["verify_fraction"] = args.snap_verify_fraction
         if args.snap_store is not None:
@@ -798,13 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cProfile every run; keep .pstats for the N slowest")
     sub.add_argument("--profile-keep", type=int, default=5,
                      help="how many slowest-run profiles to keep (with --profile)")
-    sub.add_argument("--snapshots", action="store_true",
-                     help="amortize shared simulation prefixes: snapshot the "
-                          "simulator world at each strategy's trigger state and "
-                          "fork attack tails from it instead of replaying the "
-                          "prefix (fingerprint-neutral; results are identical)")
     sub.add_argument("--no-snapshots", action="store_true",
-                     help="force snapshotting off (including one enabled by --spec)")
+                     help="execute every sweep run in full instead of forking "
+                          "attack tails from shared prefix snapshots (forking "
+                          "is the default; results are identical either way)")
     sub.add_argument("--snap-verify-fraction", type=_fraction, default=None,
                      help="determinism guard: fraction of forked runs also "
                           "executed in full and compared (default 0.05; "

@@ -109,9 +109,10 @@ class CampaignResult:
     #: shared artifact store; empty dict for single-process campaigns
     fabric: Dict[str, int] = field(default_factory=dict)
     #: snapshot-engine counters (hits/misses/forks/elided/events_saved/
-    #: divergence/...) when the campaign ran with ``--snapshots`` and
-    #: metrics enabled; empty dict otherwise
-    snapshots: Dict[str, int] = field(default_factory=dict)
+    #: divergence/...) and overhead seconds (scout_s/build_s/verify_s) when
+    #: the sweep forked (the default) and metrics were enabled; empty dict
+    #: otherwise
+    snapshots: Dict[str, float] = field(default_factory=dict)
 
     @property
     def unique_attacks(self) -> List[str]:
@@ -196,10 +197,12 @@ class Controller:
         the historical two fixed baseline seeds with no noise band.
 
         ``snapshots`` (enabled) turns on the snapshot/fork engine
-        (:mod:`repro.snap`): eligible sweep/confirm runs fork their attack
-        tails from deep-copied prefix snapshots instead of replaying the
-        shared prefix; ``None`` or a disabled config executes every run in
-        full.  Fingerprint-neutral, like ``supervision``.
+        (:mod:`repro.snap`): eligible sweep runs fork their attack tails
+        from pickled prefix snapshots instead of replaying the shared
+        prefix.  ``None`` (the default here) or a disabled config executes
+        every run in full — the reference forked sweeps are compared
+        against; :class:`repro.api.CampaignSpec` passes an enabled config
+        unless told otherwise.  Fingerprint-neutral, like ``supervision``.
         """
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")

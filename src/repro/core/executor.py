@@ -205,8 +205,8 @@ def _stop_bulk_client(client: BulkClient) -> None:
     """Tear the target downloader down at the end of its test slot.
 
     Module-level (scheduled with the client as an argument, not a closure)
-    so a deep-copied simulator world carries no hidden references back to
-    the world it was copied from.  Like wget being killed when the paper's
+    so a pickled simulator world carries no hidden references back to the
+    world it was copied from.  Like wget being killed when the paper's
     executor stops a run.
     """
     if client.conn.state not in ("CLOSED", "TIME_WAIT"):
@@ -217,7 +217,7 @@ def _stop_bulk_client(client: BulkClient) -> None:
 class SimWorld:
     """A fully built simulator world, before or mid-execution.
 
-    This is the unit the snapshot engine deep-copies: every piece of run
+    This is the unit the snapshot engine pickles: every piece of run
     state lives here (scheduler heap, RNG, endpoints, apps, proxy, tracker,
     chaos taps).  Wall-clock accounting and observability handles are
     deliberately *not* part of the world — see ``docs/performance.md``.
@@ -241,8 +241,8 @@ class Executor:
     A run decomposes into explicit phases — **build** the world (topology,
     endpoints, apps, proxy, strategy arming), **run** the simulation to its
     horizon, **collect** the :class:`RunResult` — so the snapshot engine can
-    pause between build and horizon, deep-copy the world, arm an attack on
-    the copy, and continue (see :mod:`repro.snap`).
+    pause between build and horizon, pickle the world, arm an attack on an
+    unpickled copy, and continue (see :mod:`repro.snap`).
     """
 
     def __init__(self, config: TestbedConfig):
@@ -287,7 +287,7 @@ class Executor:
             result = self._collect_dccp(world, strategy)
         result.wall_seconds = time.perf_counter() - started
         if observe:
-            self._observe_run(world.sim, world.dumbbell, world.proxy, result)
+            self.observe(world, result)
         return result
 
     # ------------------------------------------------------------------
@@ -336,15 +336,17 @@ class Executor:
             sim.run(until=cfg.duration, max_events=cfg.max_events, wall_budget=cfg.run_budget)
 
     # ------------------------------------------------------------------
-    def _observe_run(
-        self, sim: Simulator, dumbbell: Dumbbell, proxy: AttackProxy, result: RunResult
-    ) -> None:
+    @staticmethod
+    def observe(world: SimWorld, result: RunResult) -> None:
         """Feed one finished run into the event bus and metrics registry.
 
         Called once per run (never per packet), so instrumentation cost is
         independent of simulation size; a single flag check when both the
-        bus and the registry are off.
+        bus and the registry are off.  The snapshot engine calls it for
+        every result it serves, so forked and elided runs count like full
+        ones.
         """
+        sim, dumbbell, proxy = world.sim, world.dumbbell, world.proxy
         if BUS.enabled:
             BUS.emit(
                 "run.result",

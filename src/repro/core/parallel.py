@@ -312,9 +312,14 @@ def run_strategies(
     ``stage`` labels the trace records ("sweep" / "confirm" / ...).
 
     ``snapshots`` (a :class:`~repro.snap.SnapshotConfig` with ``enabled``)
-    turns on the snapshot/fork engine: pending slots are grouped by prefix
-    fingerprint before batching and eligible first attempts fork from a
-    deep-copied prefix snapshot inside each worker (see :mod:`repro.snap`).
+    turns on the snapshot/fork engine for the ``"sweep"`` stage: pending
+    slots are grouped by prefix fingerprint before batching and eligible
+    first attempts fork from a pickled prefix snapshot inside each worker
+    (see :mod:`repro.snap`).  Every other stage executes in full: confirm
+    re-runs a handful of candidates at a fresh seed, too few to pay back
+    the engine's scout and builds.  Without ``snapshots`` every run
+    executes in full, which is the reference forked sweeps are compared
+    against.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -359,7 +364,7 @@ def run_strategies(
         finish(index, outcome)
 
     # ------------------------------------------------------------ batches
-    snap = snapshots if snapshots is not None and snapshots.enabled else None
+    snap = snapshots if stage == "sweep" and snapshots is not None and snapshots.enabled else None
     if snap is not None and len(pending) > 1:
         # cluster slots sharing a prefix fingerprint into the same batches
         # so each worker's snapshot LRU serves whole runs of forks; results

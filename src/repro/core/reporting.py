@@ -136,7 +136,9 @@ def render_campaign_health(result: CampaignResult) -> str:
     if result.snapshots and any(result.snapshots.values()):
         lines.append(
             "  snapshots: "
-            + " ".join(f"{key}={value}" for key, value in sorted(result.snapshots.items()))
+            + " ".join(
+                f"{key}={_fmt_num(value)}" for key, value in sorted(result.snapshots.items())
+            )
         )
     histograms = (result.metrics or {}).get("histograms", {})
     for label, name in (

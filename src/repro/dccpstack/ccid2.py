@@ -15,6 +15,8 @@ rate" the paper's Acknowledgment Mung attack pins a sender at.
 
 from __future__ import annotations
 
+import math
+
 
 class Ccid2:
     """TCP-like window management on packet counts."""
@@ -33,15 +35,37 @@ class Ccid2:
 
     # ------------------------------------------------------------------
     def on_ack_progress(self, newly_delivered: int) -> None:
-        """``newly_delivered`` packets were newly reported as received."""
-        for _ in range(max(0, newly_delivered)):
-            if self.cwnd < self.ssthresh:
-                self.cwnd += 1
+        """``newly_delivered`` packets were newly reported as received.
+
+        Per delivered packet, slow start grows the window by one packet
+        while it is below ``ssthresh``; congestion avoidance counts packets
+        and grows it by one per window's worth.  The result is computed in
+        closed form, not packet by packet, because the count comes off the
+        wire: a forged acknowledgment can report billions of deliveries.
+        """
+        remaining = max(0, newly_delivered)
+        cwnd = self.cwnd
+        if cwnd < self.ssthresh:
+            grown = min(remaining, math.ceil(self.ssthresh) - cwnd)
+            cwnd += grown
+            remaining -= grown
+        if remaining:
+            accum = self._avoidance_accum
+            first = max(1, cwnd - accum)  # packets that complete this window
+            if remaining < first:
+                accum += remaining
             else:
-                self._avoidance_accum += 1
-                if self._avoidance_accum >= self.cwnd:
-                    self._avoidance_accum = 0
-                    self.cwnd += 1
+                remaining -= first
+                cwnd += 1
+                # each further increment costs the window it grows from:
+                # the largest k with k * cwnd + k * (k - 1) / 2 <= remaining
+                b = 2 * cwnd - 1
+                k = (math.isqrt(b * b + 8 * remaining) - b) // 2
+                remaining -= k * cwnd + k * (k - 1) // 2
+                cwnd += k
+                accum = remaining
+            self._avoidance_accum = accum
+        self.cwnd = cwnd
 
     def on_loss(self, highest_sent_index: int, loss_index: int) -> None:
         """New loss detected at ``loss_index`` (sender packet index)."""

@@ -38,9 +38,9 @@ class Host:
         self.name = name
         self.address = address if address is not None else name
         self.links: List[Link] = []
-        # keyed by the link object (not id(link)) so a deepcopied world
-        # stays internally consistent: copy.deepcopy's memo maps each
-        # link to exactly one copy, and that copy is the key here
+        # keyed by the link object (not id(link)) so an unpickled snapshot
+        # world stays internally consistent: pickle's memo restores each
+        # link as exactly one object, and that object is the key here
         self._out_pipes: Dict[Link, Pipe] = {}
         #: destination address -> the pipe that leaves towards it, so the
         #: datapath resolves a route with one dict probe

@@ -50,7 +50,7 @@ class Counter:
     def __init__(self) -> None:
         self.value = 0
 
-    def inc(self, n: int = 1) -> None:
+    def inc(self, n: float = 1) -> None:
         self.value += n
 
 
@@ -187,7 +187,7 @@ class MetricsRegistry:
             histogram = self._histograms[name] = Histogram(bounds)
         return histogram
 
-    def inc(self, name: str, n: int = 1) -> None:
+    def inc(self, name: str, n: float = 1) -> None:
         """Convenience: increment a counter (creates it on first use)."""
         self.counter(name).inc(n)
 
@@ -221,7 +221,9 @@ class MetricsRegistry:
         registry: counters add, gauges keep the max, histograms add
         bucket-wise (bounds must match — they always do, by construction)."""
         for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(int(value))
+            # most counters are ints; seconds counters (``snap.scout_s``)
+            # are floats and must not be truncated
+            self.counter(name).inc(value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set_max(float(value))
         for name, data in snapshot.get("histograms", {}).items():

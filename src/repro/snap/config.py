@@ -19,9 +19,12 @@ class SnapshotConfig:
     Parameters
     ----------
     enabled:
-        Master switch (``--snapshots``).  Off by default: forked runs are
-        behaviourally identical to full runs by contract, but the contract
-        is opt-in.
+        Master switch, on by default (``--no-snapshots`` turns it off).
+        Forked runs are behaviourally identical to full runs by contract;
+        the full TCP and DCCP enumerations give identical journals either
+        way (``BENCH_fullsweep.json``).  Only the sweep stage forks.  A
+        ``Controller`` or ``run_strategies`` given no ``SnapshotConfig`` at
+        all executes every run in full.
     verify_fraction:
         Fraction of forked runs (deterministically sampled per strategy)
         that also execute in full; any :class:`RunResult` divergence
@@ -37,7 +40,7 @@ class SnapshotConfig:
         warm prefixes cross-host.
     """
 
-    enabled: bool = False
+    enabled: bool = True
     verify_fraction: float = 0.05
     max_cached: int = 8
     min_events: int = 50

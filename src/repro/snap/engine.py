@@ -9,25 +9,37 @@ splits the run into explicit phases:
    reachable.  The scout doubles as the ground-truth plain run.
 2. **snapshot** — the first time a trigger boundary is needed, build a
    fresh world, run it to the boundary with ``stop_after_events``, and park
-   the paused world in an in-process LRU (optionally publishing a pickled
-   copy to a shared store's ``snapshots`` namespace for cross-host reuse).
-   Later boundaries of the same prefix family are built incrementally from
-   the nearest earlier snapshot.
-3. **arm + continue (fork)** — deep-copy the snapshot, install the attack
-   on the copy, and run the remaining tail.  The forked ``RunResult`` is
-   indistinguishable from a full run's because trigger arming is passive:
-   a packet rule or state hook has no observable effect until the event at
-   the boundary fires it, and that event executes *after* arming either
-   way.
+   the paused world in an in-process LRU as a pickled blob (the same blob
+   is what a shared store's ``snapshots`` namespace holds for cross-host
+   reuse).  Later boundaries of the same prefix family are built
+   incrementally by unpickling the nearest earlier snapshot.
+3. **arm + continue (fork)** — unpickle the blob into a private world,
+   install the attack on it, and run the remaining tail.  The forked
+   ``RunResult`` is indistinguishable from a full run's because trigger
+   arming is passive: a packet rule or state hook has no observable effect
+   until the event at the boundary fires it, and that event executes
+   *after* arming either way.  ``pickle.loads`` of a blob costs a fraction
+   of a ``copy.deepcopy`` of the live world (a median 1.5 ms against
+   7.5 ms for a 10 s TCP world), so even an early-boundary fork costs
+   well under the full run it replaces.
 4. **determinism guard** — a deterministically sampled fraction of forked
    runs also execute in full; any ``RunResult`` divergence poisons the
    prefix fingerprint (all later runs execute in full), bumps the
    ``snap.divergence`` counter, and emits a ``snap.divergence`` event.
 
 Strategies whose trigger never became reachable in the scout are *elided*:
-an armed run is then provably identical to the plain run, so the scout's
-result is returned directly (restamped with the strategy id) without any
-simulation at all.
+an armed run is then provably identical to the plain run, so a copy of
+the scout's result is returned (restamped with the strategy id) without
+any simulation at all.
+
+Accounting: every engine-served result is observed once by the metrics
+registry, exactly like a full run (``runs.completed``, ``sim.events``,
+``link.*``, ``proxy.*`` and ``tracker.*`` match a campaign without
+forking), and its ``wall_seconds`` is the time spent serving it: the
+unpickle plus the tail for a fork, the result copy for an elision.  The
+engine's own overhead is reported apart, as the ``snap.scout_s``,
+``snap.build_s`` and ``snap.verify_s`` counters, and is never charged to
+the run that happened to trigger it.
 
 Time-triggered strategies are ineligible — their ``arm()`` schedules the
 fire relative to arming time — as are retry attempts (different seeds) and
@@ -65,13 +77,20 @@ def comparable_result(result: RunResult) -> Dict[str, Any]:
 
 
 class _Scout:
-    """One plain run's result plus its trigger-boundary map."""
+    """One plain run's result, its trigger-boundary map, and its finished
+    world (kept so every elided result is observed like the run it is)."""
 
-    __slots__ = ("result", "boundaries")
+    __slots__ = ("result", "boundaries", "world")
 
-    def __init__(self, result: RunResult, boundaries: Dict[Tuple[str, str, str], int]):
+    def __init__(
+        self,
+        result: RunResult,
+        boundaries: Dict[Tuple[str, str, str], int],
+        world: SimWorld,
+    ):
         self.result = result
         self.boundaries = boundaries
+        self.world = world
 
 
 class SnapshotEngine:
@@ -79,10 +98,11 @@ class SnapshotEngine:
 
     def __init__(self, config: SnapshotConfig):
         self.config = config
-        #: run_key -> _Scout (None = scout truncated; snapshots unusable)
+        #: run_key -> _Scout (None = scout truncated; snapshots unusable),
+        #: oldest first, at most ``max_cached`` of them
         self._scouts: Dict[str, Optional[_Scout]] = {}
-        #: fingerprint -> paused SimWorld, LRU order (oldest first)
-        self._lru: Dict[str, SimWorld] = {}
+        #: fingerprint -> pickled paused SimWorld, LRU order (oldest first)
+        self._lru: Dict[str, bytes] = {}
         #: fingerprint -> boundary (for every world in the LRU)
         self._boundaries: Dict[str, int] = {}
         #: run_key -> [(boundary, fingerprint)] of cached snapshots, for
@@ -123,19 +143,28 @@ class SnapshotEngine:
         if boundary is None:
             # the trigger never became reachable: an armed run is provably
             # identical to the plain run the scout already executed
-            METRICS.inc("snap.elided")
-            METRICS.inc("snap.events_saved", scout.result.events_processed)
-            elided = copy.deepcopy(scout.result)
-            elided.strategy_id = strategy.strategy_id
-            return elided
+            return self._elide(scout, strategy)
         if boundary < self.config.min_events:
             return None
-        snapshot = self._snapshot(config, seed, fingerprint, boundary)
-        if snapshot is None:
+        try:
+            blob = self._snapshot(config, seed, fingerprint, boundary)
+            if blob is None:
+                return None
+            result, world = self._fork(config, strategy, blob, boundary)
+            verified = (
+                self._verify(config, strategy, seed)
+                if self._should_verify(fingerprint, strategy)
+                else None
+            )
+        except Exception:
+            # the caller re-runs the strategy in full, on the same code
+            # path as a campaign without forking, so a crash is reported
+            # exactly as it would be there (traceback included) and a world
+            # pickle cannot carry costs speed, never a result
+            METRICS.inc("snap.errors")
             return None
-        result = self._fork(config, strategy, snapshot, boundary)
-        if self._should_verify(fingerprint, strategy):
-            full = Executor(config).run(strategy, seed=seed, observe=False)
+        if verified is not None:
+            full, full_world = verified
             if comparable_result(result) != comparable_result(full):
                 self._poisoned.add(fingerprint)
                 METRICS.inc("snap.divergence")
@@ -145,8 +174,19 @@ class SnapshotEngine:
                     strategy_id=strategy.strategy_id,
                     boundary=boundary,
                 )
-                return full
+                result, world = full, full_world
+        Executor.observe(world, result)
         return result
+
+    def _elide(self, scout: _Scout, strategy: Strategy) -> RunResult:
+        started = time.perf_counter()
+        elided = copy.deepcopy(scout.result)
+        elided.strategy_id = strategy.strategy_id
+        elided.wall_seconds = time.perf_counter() - started
+        METRICS.inc("snap.elided")
+        METRICS.inc("snap.events_saved", scout.result.events_processed)
+        Executor.observe(scout.world, elided)
+        return elided
 
     # ------------------------------------------------------------------
     # phase 1: scout
@@ -187,10 +227,15 @@ class SnapshotEngine:
         sim.run(until=config.duration, max_events=config.max_events,
                 wall_budget=config.run_budget)
         result = executor.collect(world, None, started, observe=False)
+        METRICS.inc("snap.scout_s", time.perf_counter() - started)
         # a truncated scout saw only part of the run: its boundary map and
         # elision baseline are both unusable for this (testbed, seed)
-        scout = None if result.timed_out else _Scout(result, boundaries)
+        scout = None if result.timed_out else _Scout(result, boundaries, world)
         self._scouts[key] = scout
+        # a scout keeps its finished world; a long-lived process that sees
+        # many (testbed, seed) families keeps only the newest few
+        while len(self._scouts) > self.config.max_cached:
+            del self._scouts[next(iter(self._scouts))]
         return scout
 
     # ------------------------------------------------------------------
@@ -202,28 +247,32 @@ class SnapshotEngine:
         seed: Optional[int],
         fingerprint: str,
         boundary: int,
-    ) -> Optional[SimWorld]:
-        world = self._lru.get(fingerprint)
-        if world is not None:
+    ) -> Optional[bytes]:
+        blob = self._lru.get(fingerprint)
+        if blob is not None:
             METRICS.inc("snap.hits")
             # refresh LRU position
             self._lru.pop(fingerprint)
-            self._lru[fingerprint] = world
-            return world
+            self._lru[fingerprint] = blob
+            return blob
         METRICS.inc("snap.misses")
-        world = self._load_persistent(config, fingerprint, boundary)
-        if world is None:
-            world = self._build(config, seed, boundary)
-            if world is None:
-                return None
-            self._save_persistent(fingerprint, boundary, world)
-        self._remember(config, seed, fingerprint, boundary, world)
-        return world
+        started = time.perf_counter()
+        blob = self._load_persistent(fingerprint, boundary)
+        if blob is None:
+            blob = self._build(config, seed, boundary)
+            if blob is not None:
+                self._save_persistent(fingerprint, boundary, blob)
+        METRICS.inc("snap.build_s", time.perf_counter() - started)
+        if blob is None:
+            return None
+        self._remember(config, seed, fingerprint, boundary, blob)
+        return blob
 
     def _build(
         self, config: TestbedConfig, seed: Optional[int], boundary: int
-    ) -> Optional[SimWorld]:
-        """Run a plain world to the boundary, incrementally when possible."""
+    ) -> Optional[bytes]:
+        """Run a plain world to the boundary, incrementally when possible,
+        and pickle it."""
         METRICS.inc("snap.builds")
         key = run_key(config, seed)
         base_boundary, base_fp = 0, None
@@ -231,7 +280,7 @@ class SnapshotEngine:
             if base_boundary < cached_boundary <= boundary and cached_fp in self._lru:
                 base_boundary, base_fp = cached_boundary, cached_fp
         if base_fp is not None:
-            world = copy.deepcopy(self._lru[base_fp])
+            world = pickle.loads(self._lru[base_fp])
         else:
             world = Executor(config).build_world(None, seed)
         remaining = boundary - world.sim.events_processed
@@ -249,7 +298,7 @@ class SnapshotEngine:
             # a watchdog fired mid-build, or the world ran dry before the
             # boundary; neither is a valid snapshot
             return None
-        return world
+        return pickle.dumps(world, pickle.HIGHEST_PROTOCOL)
 
     def _remember(
         self,
@@ -257,9 +306,9 @@ class SnapshotEngine:
         seed: Optional[int],
         fingerprint: str,
         boundary: int,
-        world: SimWorld,
+        blob: bytes,
     ) -> None:
-        self._lru[fingerprint] = world
+        self._lru[fingerprint] = blob
         self._boundaries[fingerprint] = boundary
         key = run_key(config, seed)
         index = self._by_run.setdefault(key, [])
@@ -279,11 +328,15 @@ class SnapshotEngine:
         self,
         config: TestbedConfig,
         strategy: Strategy,
-        snapshot: SimWorld,
+        snapshot: bytes,
         boundary: int,
-    ) -> RunResult:
+    ) -> Tuple[RunResult, SimWorld]:
+        """Unpickle the snapshot, arm ``strategy`` on it and run the tail.
+
+        Returns the unobserved result and the finished world; the result's
+        wall time covers exactly the unpickle, the tail and the collect."""
         started = time.perf_counter()
-        fork = copy.deepcopy(snapshot)
+        fork: SimWorld = pickle.loads(snapshot)
         executor = Executor(config)
         executor._install_strategy(fork.proxy, strategy)
         tail_budget = None
@@ -297,11 +350,23 @@ class SnapshotEngine:
             )
         METRICS.inc("snap.forks")
         METRICS.inc("snap.events_saved", boundary)
-        return executor.collect(fork, strategy, started, observe=True)
+        return executor.collect(fork, strategy, started, observe=False), fork
 
     # ------------------------------------------------------------------
     # phase 4: determinism guard
     # ------------------------------------------------------------------
+    def _verify(
+        self, config: TestbedConfig, strategy: Strategy, seed: Optional[int]
+    ) -> Tuple[RunResult, SimWorld]:
+        """The guard's full run: unobserved, and charged to ``snap.verify_s``."""
+        started = time.perf_counter()
+        executor = Executor(config)
+        world = executor.build_world(strategy, seed)
+        executor._run_sim(world.sim)
+        full = executor.collect(world, strategy, started, observe=False)
+        METRICS.inc("snap.verify_s", full.wall_seconds)
+        return full, world
+
     def _should_verify(self, fingerprint: str, strategy: Strategy) -> bool:
         fraction = self.config.verify_fraction
         if fraction <= 0.0:
@@ -328,9 +393,7 @@ class SnapshotEngine:
                 return None
         return self._store
 
-    def _load_persistent(
-        self, config: TestbedConfig, fingerprint: str, boundary: int
-    ) -> Optional[SimWorld]:
+    def _load_persistent(self, fingerprint: str, boundary: int) -> Optional[bytes]:
         store = self._store_handle()
         if store is None:
             return None
@@ -350,7 +413,8 @@ class SnapshotEngine:
         try:
             if record.get("snap") != SNAP_VERSION or record.get("boundary") != boundary:
                 raise ValueError("snapshot record does not match the requested prefix")
-            world = pickle.loads(base64.b64decode(record["blob"]))
+            blob = base64.b64decode(record["blob"])
+            world = pickle.loads(blob)
             if not isinstance(world, SimWorld) or world.sim.events_processed != boundary:
                 raise ValueError("snapshot blob does not decode to a world at the boundary")
         except Exception:
@@ -361,22 +425,21 @@ class SnapshotEngine:
             except Exception:
                 pass
             return None
-        return world
+        return blob
 
-    def _save_persistent(self, fingerprint: str, boundary: int, world: SimWorld) -> None:
+    def _save_persistent(self, fingerprint: str, boundary: int, blob: bytes) -> None:
         store = self._store_handle()
         if store is None:
             return
         try:
-            blob = base64.b64encode(pickle.dumps(world)).decode("ascii")
             store.put_if_absent(
                 SNAPSHOT_NAMESPACE,
                 fingerprint,
                 {"snap": SNAP_VERSION, "fingerprint": fingerprint,
-                 "boundary": boundary, "blob": blob},
+                 "boundary": boundary, "blob": base64.b64encode(blob).decode("ascii")},
             )
         except Exception:
-            # unpicklable state or store trouble: snapshots stay local-only
+            # store trouble: snapshots stay local-only
             METRICS.inc("snap.store_errors")
 
 

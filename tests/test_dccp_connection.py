@@ -225,3 +225,50 @@ class TestCcid2Integration:
         conn.app_send(conn.mss * 3)
         pair.run(until=2.0)
         assert conn.gss - gss_before == conn.packets_sent - sent_before
+
+
+def _per_packet_ack_progress(cc, newly_delivered):
+    """CCID 2's window growth applied one delivered packet at a time."""
+    for _ in range(max(0, newly_delivered)):
+        if cc.cwnd < cc.ssthresh:
+            cc.cwnd += 1
+        else:
+            cc._avoidance_accum += 1
+            if cc._avoidance_accum >= cc.cwnd:
+                cc._avoidance_accum = 0
+                cc.cwnd += 1
+
+
+class TestCcid2AckProgress:
+    """``on_ack_progress`` computes in closed form what per-packet growth
+    computes, so a forged delivery count of billions costs O(1)."""
+
+    def test_closed_form_matches_per_packet_growth(self):
+        import random
+
+        from repro.dccpstack.ccid2 import Ccid2
+
+        rng = random.Random(2015)
+        for _ in range(3000):
+            closed, reference = Ccid2(), Ccid2()
+            cwnd = rng.randint(1, 300)
+            ssthresh = rng.choice([2.0, 2.5, 64.0, cwnd / 2.0, cwnd + 0.5,
+                                   float(rng.randint(2, 400))])
+            accum = rng.randint(0, cwnd - 1)
+            for cc in (closed, reference):
+                cc.cwnd, cc.ssthresh, cc._avoidance_accum = cwnd, ssthresh, accum
+            newly = rng.choice([-3, 0, 1, 2, rng.randint(0, 50), rng.randint(0, 5000),
+                                rng.randint(0, 200_000)])
+            closed.on_ack_progress(newly)
+            _per_packet_ack_progress(reference, newly)
+            assert (closed.cwnd, closed._avoidance_accum) == \
+                (reference.cwnd, reference._avoidance_accum), (cwnd, ssthresh, accum, newly)
+
+    def test_forged_huge_count_is_cheap(self):
+        from repro.dccpstack.ccid2 import Ccid2
+
+        cc = Ccid2()
+        cc.on_ack_progress(2**31 - 1)
+        # slow start to 64, then ~sqrt(2 * 2**31) further increments
+        assert 65_000 < cc.cwnd < 66_000
+        assert 0 <= cc._avoidance_accum < cc.cwnd

@@ -464,10 +464,11 @@ class TestCliFlags:
         assert args.noise_sigmas == 2.5
 
     @pytest.mark.parametrize("argv", [
-        # snapshot tuning flags need --snapshots, which --no-snapshots contradicts
-        ["campaign", "--snapshots", "--no-snapshots"],
-        ["campaign", "--snap-verify-fraction", "0.5"],
-        ["campaign", "--snap-store", "snaps"],
+        # forking is the default, so the old opt-in flag is gone
+        ["campaign", "--snapshots"],
+        # snapshot tuning flags contradict --no-snapshots
+        ["campaign", "--no-snapshots", "--snap-verify-fraction", "0.5"],
+        ["campaign", "--no-snapshots", "--snap-store", "snaps"],
         # bare --resume names no journal to resume from
         ["campaign", "--resume"],
         ["campaign", "--resume", "a.jsonl", "--checkpoint", "b.jsonl"],
@@ -503,5 +504,7 @@ class TestCliFlags:
             ["campaign", "--resume", "j.jsonl"],
             ["campaign", "--slot-budget", "5"],
             ["campaign", "--fabric", "--store", "s", "--lease-ttl", "5"],
+            ["campaign", "--snap-verify-fraction", "0.5", "--snap-store", "snaps"],
+            ["campaign", "--no-snapshots"],
         ):
             assert _validate_campaign_flags(parser.parse_args(argv)) is None, argv

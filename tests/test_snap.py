@@ -1,14 +1,23 @@
-"""Snapshot/fork engine: fork-vs-full equivalence, elision, the
-determinism guard, cache eviction/corruption, journal comparison, and the
-simulator/header support surfaces the engine leans on."""
+"""Snapshot/fork engine: fork-vs-full equivalence at early/mid/late
+boundaries, elision, the sweep-only stage policy, served-run accounting
+(wall time and metrics), spec-default campaigns against ``--no-snapshots``
+ones, the determinism guard, cache eviction/corruption, journal
+comparison, and the simulator/header support surfaces the engine leans on.
+
+The reference every forked result is compared against is a full
+``Executor.run``, or a campaign/``run_strategies`` call given no enabled
+``SnapshotConfig``, which executes every run in full."""
 
 import base64
+import time
 
 import pytest
 
+from repro.api import CampaignSpec, run_campaign
 from repro.core.checkpoint import CheckpointJournal
 from repro.core.executor import Executor, RunResult, TestbedConfig
 from repro.core.generation import prefix_sort_key, snapshot_descriptor
+from repro.core.parallel import run_strategies
 from repro.core.strategy import Strategy
 from repro.fabric.store import store_for
 from repro.netsim.chaos import ChaosConfig
@@ -72,8 +81,10 @@ def _assert_fork_equals_full(engine, config, strategy, seed=None):
 
 
 class TestSnapshotConfig:
-    def test_defaults_disabled(self):
-        assert SnapshotConfig().enabled is False
+    def test_defaults_enabled(self):
+        # forking is the default; callers that pass no config at all
+        # (Controller / run_strategies) still execute every run in full
+        assert SnapshotConfig().enabled is True
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5])
     def test_verify_fraction_bounds(self, fraction):
@@ -146,7 +157,8 @@ class TestExecuteRunGate:
         reset_engine()
 
     def test_disabled_config_runs_in_full(self):
-        assert execute_run(TCP_CONFIG, _packet(), None, 0, SnapshotConfig()) is None
+        assert execute_run(TCP_CONFIG, _packet(), None, 0,
+                           SnapshotConfig(enabled=False, min_events=0)) is None
 
     def test_missing_config_runs_in_full(self):
         assert execute_run(TCP_CONFIG, _packet(), None, 0, None) is None
@@ -232,9 +244,9 @@ class TestDeterminismGuard:
         real_fork = SnapshotEngine._fork
 
         def corrupted_fork(self, config, strategy, snapshot, boundary):
-            result = real_fork(self, config, strategy, snapshot, boundary)
+            result, world = real_fork(self, config, strategy, snapshot, boundary)
             result.target_bytes += 1
-            return result
+            return result, world
 
         monkeypatch.setattr(SnapshotEngine, "_fork", corrupted_fork)
         strategy = _packet()
@@ -247,6 +259,142 @@ class TestDeterminismGuard:
         assert fingerprint in engine._poisoned
         # the poisoned prefix is permanently demoted to full execution
         assert engine.execute(TCP_CONFIG, strategy, None) is None
+
+
+def _pair_strategies_at(engine, config, protocol):
+    """Packet strategies whose trigger pairs the scout reached earliest,
+    in the middle, and latest (post-build boundaries only)."""
+    scout = engine._scout_for(config, None)
+    pairs = sorted(
+        (boundary, descriptor)
+        for descriptor, boundary in scout.boundaries.items()
+        if descriptor[0] == "pair" and boundary >= 0
+    )
+    picks = {"early": pairs[0], "mid": pairs[len(pairs) // 2], "late": pairs[-1]}
+    return {
+        position: _packet(9200 + index, action="duplicate", protocol=protocol,
+                          state=descriptor[1], ptype=descriptor[2])
+        for index, (position, (_boundary, descriptor)) in enumerate(sorted(picks.items()))
+    }
+
+
+@pytest.fixture(scope="module")
+def boundary_engines():
+    return {"tcp": SnapshotEngine(SNAP), "dccp": SnapshotEngine(SNAP)}
+
+
+class TestBlobForks:
+    """Forks unpickle one pickled snapshot; the result is the full run's at
+    every boundary position, for both protocols."""
+
+    @pytest.mark.parametrize("position", ["early", "mid", "late"])
+    @pytest.mark.parametrize("protocol", ["tcp", "dccp"])
+    def test_fork_equals_full_at_boundary(self, boundary_engines, protocol, position, metrics):
+        config = TCP_CONFIG if protocol == "tcp" else DCCP_CONFIG
+        engine = boundary_engines[protocol]
+        strategy = _pair_strategies_at(engine, config, protocol)[position]
+        _assert_fork_equals_full(engine, config, strategy)
+        assert metrics.snapshot()["counters"].get("snap.forks", 0) == 1
+        assert engine._lru and all(isinstance(blob, bytes) for blob in engine._lru.values())
+
+
+def _mixed_strategies():
+    # forked (pair + state trigger), elided (state never entered) and
+    # ineligible (time trigger) slots in one batch
+    return [
+        _packet(9301),
+        _packet(9302, action="duplicate"),
+        _inject(9303),
+        _inject(9304, trigger=("state", "client", "CLOSING")),
+        _inject(9305, trigger=("state", "client", "LAST_ACK")),
+        _inject(9306, trigger=("time", 1.5)),
+    ]
+
+
+def _stage_counters(stage, snapshots):
+    reset_engine()
+    METRICS.reset()
+    started = time.perf_counter()
+    outcomes = run_strategies(TCP_CONFIG, _mixed_strategies(), workers=1, stage=stage,
+                              obs=ObsConfig(metrics=True), snapshots=snapshots)
+    elapsed = time.perf_counter() - started
+    reset_engine()
+    return outcomes, elapsed, METRICS.snapshot()["counters"]
+
+
+class TestStagePolicyAndAccounting:
+    """Only the sweep stage forks, and an engine-served run is accounted
+    like a full run: observed once, with the wall time it really took."""
+
+    def test_confirm_stage_never_consults_the_engine(self, metrics):
+        _outcomes, _elapsed, sweep = _stage_counters("sweep", SNAP)
+        assert sweep.get("snap.forks", 0) > 0
+        _outcomes, _elapsed, confirm = _stage_counters("confirm", SNAP)
+        assert not {name: value for name, value in confirm.items()
+                    if name.startswith("snap.")}
+
+    def test_elided_wall_is_its_own_serving_time(self, tcp_engine):
+        strategy = _inject(9307, trigger=("state", "client", "CLOSING"))
+        elided = tcp_engine.execute(TCP_CONFIG, strategy, None)
+        scout = tcp_engine._scouts[run_key(TCP_CONFIG, None)]
+        assert elided.wall_seconds < scout.result.wall_seconds / 20
+
+    def test_served_runs_are_observed_like_full_runs(self, metrics):
+        plain, _elapsed, plain_counters = _stage_counters("sweep", None)
+        forked, elapsed, forked_counters = _stage_counters("sweep", SNAP)
+        assert forked_counters.get("snap.forks", 0) > 0
+        assert forked_counters.get("snap.elided", 0) > 0
+        for name in ("runs.completed", "runs.timed_out", "sim.events", "link.enqueued",
+                     "proxy.intercepted", "tracker.packets_observed"):
+            assert forked_counters.get(name) == plain_counters.get(name), name
+        assert forked_counters["runs.completed"] == len(forked)
+        assert [comparable_result(o) for o in forked] == [comparable_result(o) for o in plain]
+        # serial execution: served walls exclude the engine's overhead, so
+        # they fit inside the stage (worker_util <= 1)
+        assert sum(o.wall_seconds for o in forked) <= elapsed
+        overhead = sum(forked_counters.get(f"snap.{name}_s", 0.0)
+                       for name in ("scout", "build", "verify"))
+        assert overhead > 0
+
+
+class TestSpecDefaultCampaign:
+    """A campaign on the spec defaults forks its sweep and journals exactly
+    what a ``--no-snapshots`` campaign journals."""
+
+    @pytest.mark.parametrize("config", [TCP_CONFIG, DCCP_CONFIG], ids=["tcp", "dccp"])
+    def test_default_journal_equals_no_snapshots_journal(self, config, tmp_path, metrics):
+        assert CampaignSpec().snapshots.enabled
+        journals, results = {}, {}
+        for mode, snapshots in (("default", None), ("plain", SnapshotConfig(enabled=False))):
+            spec = CampaignSpec(testbed=config, workers=2, sample_every=300,
+                                checkpoint=str(tmp_path / f"{mode}.jsonl"),
+                                obs=ObsConfig(metrics=True))
+            if snapshots is not None:
+                spec = spec.with_overrides(snapshots=snapshots)
+            # one process, two campaigns: the registry is process-wide
+            metrics.reset()
+            results[mode] = run_campaign(spec)
+            journals[mode] = spec.checkpoint
+        identical, report = compare_journals(journals["plain"], journals["default"])
+        assert identical, report
+        assert results["default"].snapshots.get("forks", 0) > 0
+        assert results["default"].snapshots.get("divergence", 0) == 0
+        assert not results["plain"].snapshots
+        completed = {mode: result.metrics["counters"]["runs.completed"]
+                     for mode, result in results.items()}
+        assert completed["default"] == completed["plain"]
+
+
+class TestForkErrors:
+    def test_raising_fork_runs_in_full(self, metrics, monkeypatch):
+        # a crashing tail is handed back to the caller's full run, so the
+        # crash surfaces exactly as a campaign without forking reports it
+        def crashing_fork(self, config, strategy, snapshot, boundary):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(SnapshotEngine, "_fork", crashing_fork)
+        assert SnapshotEngine(SNAP).execute(TCP_CONFIG, _packet(), None) is None
+        assert metrics.snapshot()["counters"].get("snap.errors", 0) == 1
 
 
 class TestSnapshotCache:
