@@ -84,6 +84,12 @@ def _generation_from_dict(data: Dict[str, Any]) -> GenerationConfig:
 class CampaignSpec:
     """Everything that defines one campaign, as one picklable value.
 
+    The only campaign configuration: :class:`~repro.core.Controller` reads
+    every setting from a spec, so the defaults below, the checks in
+    ``__post_init__`` (which also run on :meth:`from_dict` and
+    :meth:`with_overrides`) and :meth:`fingerprint` hold for every entry
+    point alike.
+
     Field groups mirror the subsystems they configure: ``testbed`` is the
     executor's world, ``generation`` the strategy enumeration (``None`` =
     protocol defaults), ``retry`` the fault-tolerance policy, ``cache_dir``
@@ -98,6 +104,8 @@ class CampaignSpec:
     generation: Optional[GenerationConfig] = None
     workers: Optional[int] = None
     confirm: bool = True
+    #: > 1 executes a deterministic 1-in-N stratified sample of the
+    #: generated strategies; the full count is still reported
     sample_every: int = 1
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     checkpoint: Optional[str] = None
@@ -125,6 +133,14 @@ class CampaignSpec:
     #: plane can evolve without another spec bump; ``None`` outside the
     #: service.  Fingerprint-neutral like ``fabric``.
     service: Optional[Dict[str, Any]] = None
+
+    def __post_init__(self) -> None:
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.resume and not self.checkpoint:
+            raise ValueError("resume requires a checkpoint path")
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -220,33 +236,12 @@ class CampaignSpec:
         """
         return campaign_fingerprint(
             self.testbed, self.generation, self.sample_every, self.confirm,
-            self.retry.retries, confirmation=self.confirmation,
+            self.retry.retries, self.confirmation,
         )
 
     def with_overrides(self, **changes: Any) -> "CampaignSpec":
         """A copy with the given fields replaced (convenience for the CLI)."""
         return replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    def build_controller(self) -> Controller:
-        """Materialize the configured :class:`~repro.core.Controller`."""
-        return Controller(
-            self.testbed,
-            generation=self.generation,
-            workers=self.workers,
-            confirm=self.confirm,
-            sample_every=self.sample_every,
-            retries=self.retry.retries,
-            retry_backoff=self.retry.backoff,
-            checkpoint=self.checkpoint,
-            resume=self.resume,
-            obs=self.obs,
-            cache_dir=self.cache_dir,
-            batch_size=self.batch_size,
-            supervision=self.supervision,
-            confirmation=self.confirmation,
-            snapshots=self.snapshots,
-        )
 
 
 # keep pytest from collecting the dataclass as a test class
@@ -270,7 +265,7 @@ def run_campaign(
         from repro.fabric.coordinator import run_fabric_campaign
 
         return run_fabric_campaign(spec, progress=progress)
-    return spec.build_controller().run_campaign(progress=progress)
+    return Controller(spec).run_campaign(progress=progress)
 
 
 __all__ = [

@@ -42,6 +42,7 @@ from repro.core import (
     compare_injection_models,
 )
 from repro.core.generation import StrategyGenerator
+from repro.core.parallel import DEFAULT_BATCH_SIZE
 from repro.core.reporting import (
     render_attack_clusters,
     render_campaign_health,
@@ -211,6 +212,14 @@ _SNAPSHOT_FLAGS = (
 )
 
 
+#: ``campaign`` flags that set the :class:`FabricConfig` field of the same
+#: name; argparse defaults are ``None`` so the dataclass keeps its own
+_FABRIC_FLAGS = (
+    "lease_ttl", "lease_size", "telemetry_interval", "stall_window",
+    "store_retries", "store_backoff",
+)
+
+
 def _validate_campaign_flags(args: argparse.Namespace) -> Optional[str]:
     """Flag-combination checks, rejected at parse time like the scalar
     argparse types.  Returns an error message or ``None``."""
@@ -229,13 +238,9 @@ def _validate_campaign_flags(args: argparse.Namespace) -> Optional[str]:
     if args.fabric and not args.store:
         return "--fabric requires --store (the shared artifact store)"
     if not args.fabric:
-        for attr, flag in (
-            ("store", "--store"), ("lease_ttl", "--lease-ttl"), ("lease_size", "--lease-size"),
-            ("telemetry_interval", "--telemetry-interval"), ("stall_window", "--stall-window"),
-            ("store_retries", "--store-retries"), ("store_backoff", "--store-backoff"),
-        ):
+        for attr in ("store",) + _FABRIC_FLAGS:
             if getattr(args, attr) is not None:
-                return f"{flag} has no effect without --fabric"
+                return f"--{attr.replace('_', '-')} has no effect without --fabric"
     return None
 
 
@@ -294,23 +299,11 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
     if args.fabric:
         from repro.fabric.config import FabricConfig
 
-        spec = spec.with_overrides(
-            fabric=FabricConfig(
-                store=args.store,
-                lease_ttl=args.lease_ttl if args.lease_ttl is not None else 30.0,
-                lease_size=args.lease_size if args.lease_size is not None else 4,
-                telemetry_interval=(
-                    args.telemetry_interval if args.telemetry_interval is not None else 1.0
-                ),
-                stall_window=args.stall_window if args.stall_window is not None else 15.0,
-                store_retries=(
-                    args.store_retries if args.store_retries is not None else 0
-                ),
-                store_backoff=(
-                    args.store_backoff if args.store_backoff is not None else 0.05
-                ),
-            )
-        )
+        given = {
+            attr: getattr(args, attr) for attr in _FABRIC_FLAGS
+            if getattr(args, attr) is not None
+        }
+        spec = spec.with_overrides(fabric=FabricConfig(store=args.store, **given))
     return spec
 
 
@@ -760,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "on disk instead of simulating it, persist fresh runs")
     sub.add_argument("--no-cache", action="store_true",
                      help="ignore any cache directory (including one from --spec)")
-    sub.add_argument("--batch-size", type=_positive_int, default=8,
+    sub.add_argument("--batch-size", type=_positive_int, default=DEFAULT_BATCH_SIZE,
                      help="strategies dispatched per worker round-trip")
     sub.add_argument("--slot-budget", type=_positive_float, default=None,
                      help="supervisor deadline: wall seconds a worker may spend "
@@ -772,10 +765,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "is quarantined (default %(default)s)")
     sub.add_argument("--max-tasks-per-child", type=_positive_int, default=None,
                      help="recycle each worker after this many strategies")
-    sub.add_argument("--baseline-runs", type=_positive_int, default=2,
+    sub.add_argument("--baseline-runs", type=_positive_int,
+                     default=ConfirmationPolicy.baseline_runs,
                      help="no-attack baseline replicas (>= 2 gives the detector "
                           "a noise estimate)")
-    sub.add_argument("--noise-sigmas", type=_nonnegative_float, default=3.0,
+    sub.add_argument("--noise-sigmas", type=_nonnegative_float,
+                     default=ConfirmationPolicy.noise_sigmas,
                      help="detections must clear this many baseline standard "
                           "deviations (0 disables the noise band)")
     sub.add_argument("--spec", metavar="JSON", default=None,

@@ -22,9 +22,10 @@ Fingerprint rules
   repeat, independent of the campaign's retry policy.  Crashes, timeouts
   and retried successes always re-execute.
 * ``campaign_fingerprint(...)`` hashes the execution-identity slice of a
-  campaign spec (testbed, generation, sampling, confirm, retries).  The
-  checkpoint journal stores it so ``--resume`` refuses a journal written
-  under a different spec instead of silently mixing outcomes.
+  campaign spec (testbed, generation, sampling, confirm, retries,
+  confirmation policy).  The checkpoint journal stores it so ``--resume``
+  refuses a journal written under a different spec instead of silently
+  mixing outcomes.
 
 Storage: entries live in an :class:`~repro.fabric.store.ArtifactStore`
 under the ``runs`` namespace — by default the sharded local-dir backend
@@ -44,6 +45,7 @@ import logging
 from hashlib import blake2b
 from typing import Any, Dict, Optional, Union
 
+from repro.core.detector import ConfirmationPolicy
 from repro.core.executor import RunResult, TestbedConfig
 from repro.core.generation import GenerationConfig
 from repro.core.strategy import Strategy, _jsonable
@@ -87,31 +89,27 @@ def campaign_fingerprint(
     sample_every: int,
     confirm: bool,
     retries: int,
-    confirmation: Optional[Any] = None,
+    confirmation: ConfirmationPolicy,
 ) -> str:
     """Identity of a campaign's *outcome-affecting* configuration.
 
     Workers, batch size, checkpoint paths, supervision and observability
     change how a campaign runs, not what it computes, so they are
     excluded — a journal written with 1 worker resumes cleanly under 8.
-    ``confirmation`` (a :class:`~repro.core.detector.ConfirmationPolicy`)
-    *is* outcome-affecting — baseline replicas and the noise band decide
-    which strategies count as attacks — but ``None`` (the pre-policy
-    default) is excluded entirely so historical fingerprints are stable.
+    ``confirmation`` *is* outcome-affecting: baseline replicas and the
+    noise band decide which strategies count as attacks.
     """
     from dataclasses import asdict
 
-    payload = {
+    return _digest({
         "v": CACHE_VERSION,
         "config": config.to_dict(),
         "generation": asdict(generation if generation is not None else GenerationConfig()),
         "sample_every": sample_every,
         "confirm": confirm,
         "retries": retries,
-    }
-    if confirmation is not None:
-        payload["confirmation"] = asdict(confirmation)
-    return _digest(payload)
+        "confirmation": asdict(confirmation),
+    })
 
 
 class RunCache:

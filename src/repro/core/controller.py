@@ -19,32 +19,28 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.attacks_catalog import cluster_attacks
-from repro.core.cache import RunCache, campaign_fingerprint, run_fingerprint
+from repro.core.cache import RunCache, run_fingerprint
 from repro.core.checkpoint import CheckpointJournal, CompletedMap
 from repro.core.classify import partition
-from repro.core.detector import (
-    VERDICT_FLAKY,
-    AttackDetector,
-    BaselineMetrics,
-    ConfirmationPolicy,
-    Detection,
-)
-from repro.core.executor import Executor, RunError, RunOutcome, RunResult, TestbedConfig
+from repro.core.detector import VERDICT_FLAKY, AttackDetector, BaselineMetrics, Detection
+from repro.core.executor import Executor, RunError, RunOutcome, RunResult
 from repro.core.generation import GenerationConfig, StrategyGenerator, dedupe_strategies
-from repro.core.parallel import DEFAULT_BATCH_SIZE, derive_seed, run_strategies
+from repro.core.parallel import derive_seed, run_strategies
 from repro.core.strategy import Strategy
-from repro.core.supervisor import KIND_QUARANTINED, SupervisedWorkerPool, SupervisionConfig
-from repro.snap.config import SnapshotConfig
+from repro.core.supervisor import KIND_QUARANTINED, SupervisedWorkerPool
 from repro.obs.bus import BUS
-from repro.obs.config import ObsConfig, configure_observability
-from repro.obs.metrics import METRICS
+from repro.obs.config import configure_observability
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.profiling import prune_profiles
 from repro.packets.dccp import DCCP_FORMAT
 from repro.packets.tcp import TCP_FORMAT
 from repro.statemachine.specs import dccp_state_machine, tcp_state_machine
+
+if TYPE_CHECKING:
+    from repro.api import CampaignSpec
 
 log = logging.getLogger("repro.core.controller")
 
@@ -145,112 +141,48 @@ class CampaignResult:
 
 
 class Controller:
-    """Runs one campaign against one implementation."""
+    """Runs the campaign one :class:`~repro.api.CampaignSpec` describes.
+
+    Every setting comes from ``spec``; its defaults and validation live on
+    the spec, so a campaign computes the same thing however it is started
+    (``repro campaign``, :func:`repro.api.run_campaign`, the fabric
+    coordinator, a test).
+
+    ``cache`` and ``stage_runner`` are the two seams the distributed
+    fabric plugs into.  ``cache``, when given, is used instead of a
+    :class:`~repro.core.cache.RunCache` built from ``spec.cache_dir`` (the
+    fabric passes a store-backed cache shared with its workers).
+    ``stage_runner``, when given, replaces
+    :func:`~repro.core.parallel.run_strategies` for stage execution: it is
+    called as ``stage_runner(stage=..., strategies=pending, seed=...,
+    cache=..., pool=..., on_result=..., progress=...)`` and must return
+    outcomes aligned with the pending strategies.  Journaling and resume
+    stay the controller's job either way.
+    """
 
     def __init__(
         self,
-        config: TestbedConfig,
-        generation: Optional[GenerationConfig] = None,
-        workers: Optional[int] = None,
-        confirm: bool = True,
-        sample_every: int = 1,
-        retries: int = 0,
-        retry_backoff: float = 0.0,
-        checkpoint: Optional[str] = None,
-        resume: bool = False,
-        obs: Optional[ObsConfig] = None,
-        cache_dir: Optional[str] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-        supervision: Optional[SupervisionConfig] = None,
-        confirmation: Optional[ConfirmationPolicy] = None,
-        snapshots: Optional[SnapshotConfig] = None,
+        spec: CampaignSpec,
+        cache: Optional[RunCache] = None,
+        stage_runner: Optional[Callable[..., List[RunOutcome]]] = None,
     ):
-        """``sample_every`` > 1 executes a deterministic 1-in-N stratified
-        subsample of the generated strategies (the full enumeration count is
-        still reported as ``strategies_generated``).
-
-        ``retries`` gives every crashed/timed-out run that many additional
-        attempts with deterministically derived seeds (``retry_backoff``
-        seconds of exponential backoff between them).  ``checkpoint`` names
-        a JSONL journal to which completed outcomes are appended as they
-        arrive; with ``resume=True`` the journal is first read back and the
-        already-completed strategies are skipped.
-
-        ``obs`` switches on campaign observability (JSONL event traces,
-        the merged metrics registry, per-run profiling); see
-        :class:`repro.obs.ObsConfig`.  Everything stays off when ``None``.
-
-        ``cache_dir`` points at a content-addressed run cache (see
-        :mod:`repro.core.cache`): every baseline/sweep/confirm run already
-        on disk is restored instead of simulated, and fresh clean runs are
-        persisted for the next campaign.  ``batch_size`` strategies share
-        one worker round-trip, and one worker pool is reused across all
-        stages.
-
-        ``supervision`` tunes the
-        :class:`~repro.core.supervisor.SupervisedWorkerPool` every stage
-        runs on — parent-side deadlines, kill + respawn of wedged workers,
-        and poison-strategy quarantine; ``None`` means
-        ``SupervisionConfig()``.
-        ``confirmation`` replicates the baseline ``baseline_runs`` times
-        and arms the detector's ``noise_sigmas`` band; ``None`` preserves
-        the historical two fixed baseline seeds with no noise band.
-
-        ``snapshots`` (enabled) turns on the snapshot/fork engine
-        (:mod:`repro.snap`): eligible sweep runs fork their attack tails
-        from pickled prefix snapshots instead of replaying the shared
-        prefix.  ``None`` (the default here) or a disabled config executes
-        every run in full — the reference forked sweeps are compared
-        against; :class:`repro.api.CampaignSpec` passes an enabled config
-        unless told otherwise.  Fingerprint-neutral, like ``supervision``.
-        """
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if resume and not checkpoint:
-            raise ValueError("resume requires a checkpoint path")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.config = config
-        self.generation = generation if generation is not None else GenerationConfig()
-        self.workers = workers
-        self.confirm = confirm
-        self.sample_every = sample_every
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.checkpoint = checkpoint
-        self.resume = resume
-        self.obs = obs
-        self.cache_dir = cache_dir
-        self.batch_size = batch_size
-        self.supervision = supervision if supervision is not None else SupervisionConfig()
-        self.confirmation = confirmation
-        self.snapshots = snapshots
-        self.executor = Executor(config)
-        #: when set, a :class:`~repro.core.cache.RunCache` used instead of
-        #: one built from ``cache_dir`` (the fabric injects a store-backed
-        #: cache shared with its workers)
-        self.cache: Optional[RunCache] = None
-        #: when set, replaces :func:`~repro.core.parallel.run_strategies`
-        #: for stage execution — called as ``stage_runner(stage=...,
-        #: strategies=pending, seed=..., cache=..., pool=..., on_result=...,
-        #: progress=...)`` and must return outcomes aligned with the pending
-        #: strategies.  This is the seam the distributed fabric plugs into;
-        #: journaling and resume stay the controller's job either way.
-        self.stage_runner: Optional[Callable[..., List[RunOutcome]]] = None
+        self.spec = spec
+        self.cache = cache
+        self.stage_runner = stage_runner
+        self.executor = Executor(spec.testbed)
 
     # ------------------------------------------------------------------
     def make_generator(self) -> StrategyGenerator:
-        generation = self.generation
-        if self.config.protocol == "tcp":
+        config = self.spec.testbed
+        generation = self.spec.generation or GenerationConfig()
+        if config.protocol == "tcp":
             # the off-path attacker knows the target OS's default receive
             # window (nmap-style fingerprinting); sweep strides follow it
             from dataclasses import replace
             from repro.tcpstack.variants import get_variant
 
             generation = replace(
-                generation, receive_window=get_variant(self.config.variant).receive_window
+                generation, receive_window=get_variant(config.variant).receive_window
             )
             return StrategyGenerator("tcp", TCP_FORMAT, tcp_state_machine(), generation)
         return StrategyGenerator("dccp", DCCP_FORMAT, dccp_state_machine(), generation)
@@ -259,14 +191,11 @@ class Controller:
     def baseline_seeds(self) -> Tuple[int, ...]:
         """Seeds for the no-attack replicas (historical pair first).
 
-        A ``confirmation`` policy asking for more than two replicas extends
+        A confirmation policy asking for more than two replicas extends
         the fixed pair with deterministically derived seeds, so existing
         run-cache entries for the pair stay valid.
         """
-        wanted = (
-            self.confirmation.baseline_runs if self.confirmation is not None
-            else len(BASELINE_SEEDS)
-        )
+        wanted = self.spec.confirmation.baseline_runs
         seeds = list(BASELINE_SEEDS[:wanted])
         for extra in range(1, wanted - len(seeds) + 1):
             seeds.append(derive_seed(BASELINE_SEEDS[-1], None, extra))
@@ -277,7 +206,9 @@ class Controller:
     ) -> Tuple[BaselineMetrics, List[RunResult]]:
         runs: List[RunResult] = []
         for i, seed in enumerate(self.baseline_seeds()):
-            fingerprint = run_fingerprint(self.config, None, seed) if cache is not None else None
+            fingerprint = (
+                run_fingerprint(self.spec.testbed, None, seed) if cache is not None else None
+            )
             run = cache.get(fingerprint) if cache is not None else None
             if run is None:
                 with BUS.scope(stage="baseline", attempt=0, seed=seed):
@@ -290,25 +221,16 @@ class Controller:
         return BaselineMetrics.from_runs(runs), runs
 
     # ------------------------------------------------------------------
-    def spec_fingerprint(self) -> str:
-        """Hash of the outcome-affecting campaign configuration.
-
-        Equals :meth:`repro.api.CampaignSpec.fingerprint` for the spec this
-        controller was built from; journaled so ``--resume`` can reject a
-        journal written under a different spec.
-        """
-        return campaign_fingerprint(
-            self.config, self.generation, self.sample_every, self.confirm, self.retries,
-            confirmation=self.confirmation,
-        )
-
     def _journal_meta(self) -> Dict[str, object]:
+        """The journal header; ``--resume`` refuses a journal whose header
+        differs, in particular one written under another spec fingerprint."""
+        spec = self.spec
         return {
-            "protocol": self.config.protocol,
-            "variant": self.config.variant,
-            "seed": self.config.seed,
-            "sample_every": self.sample_every,
-            "spec_fingerprint": self.spec_fingerprint(),
+            "protocol": spec.testbed.protocol,
+            "variant": spec.testbed.variant,
+            "seed": spec.testbed.seed,
+            "sample_every": spec.sample_every,
+            "spec_fingerprint": spec.fingerprint(),
         }
 
     def _run_stage(
@@ -345,21 +267,22 @@ class Controller:
                 progress=lambda done, total: report(stage, done, total),
             )
         else:
+            spec = self.spec
             fresh = run_strategies(
-                self.config,
+                spec.testbed,
                 pending,
-                workers=self.workers,
+                workers=spec.workers,
                 seed=seed,
-                batch_size=self.batch_size,
-                retries=self.retries,
-                retry_backoff=self.retry_backoff,
+                batch_size=spec.batch_size,
+                retries=spec.retry.retries,
+                retry_backoff=spec.retry.backoff,
                 on_result=on_result,
                 progress=lambda done, total: report(stage, done, total),
-                obs=self.obs,
+                obs=spec.obs,
                 stage=stage,
                 cache=cache,
                 pool=pool,
-                snapshots=self.snapshots,
+                snapshots=spec.snapshots,
             )
         by_id = {s.strategy_id: outcome for s, outcome in zip(pending, fresh)}
         outcomes = [
@@ -377,38 +300,50 @@ class Controller:
     def run_campaign(
         self, progress: Optional[Callable[[str, int, int], None]] = None
     ) -> CampaignResult:
+        """Run the campaign; ``progress(stage, done, total)`` is called as
+        runs finish.
+
+        The campaign records its metrics — in this thread and in the
+        worker processes it forks — into a registry of its own, folded
+        into the caller's registry when the campaign ends.  So
+        :attr:`CampaignResult.metrics` describes this campaign only, even
+        when one process runs several.
+        """
+        spec = self.spec
+
         def report(stage: str, done: int, total: int) -> None:
             if progress is not None:
                 progress(stage, done, total)
 
-        if self.obs is not None:
-            configure_observability(self.obs)
-        journal: Optional[CheckpointJournal] = None
-        completed: CompletedMap = {}
-        if self.checkpoint:
-            journal = CheckpointJournal(self.checkpoint)
-            if self.resume:
-                completed = journal.load(expected_meta=self._journal_meta())
-                log.info("resumed %d completed outcome(s) from %s",
-                         len(completed), self.checkpoint)
-            journal.open(self._journal_meta())
-        if self.cache is not None:
-            cache: Optional[RunCache] = self.cache
-        else:
-            cache = RunCache(self.cache_dir) if self.cache_dir else None
+        registry = MetricsRegistry(enabled=bool(spec.obs and spec.obs.metrics))
+        journal = CheckpointJournal(spec.checkpoint) if spec.checkpoint else None
         try:
-            with BUS.span("campaign", protocol=self.config.protocol,
-                          variant=self.config.variant):
-                # one pool shared by every stage (lazily spawned on first
-                # dispatch with real work — a fully-cached campaign never
-                # forks)
-                with SupervisedWorkerPool(
-                    workers=self.workers, obs=self.obs, supervision=self.supervision
-                ) as pool:
-                    return self._run_campaign(report, completed, journal, cache, pool)
+            with METRICS.scoped(registry):
+                if spec.obs is not None:
+                    configure_observability(spec.obs)
+                completed: CompletedMap = {}
+                if journal is not None:
+                    if spec.resume:
+                        completed = journal.load(expected_meta=self._journal_meta())
+                        log.info("resumed %d completed outcome(s) from %s",
+                                 len(completed), spec.checkpoint)
+                    journal.open(self._journal_meta())
+                cache = self.cache
+                if cache is None and spec.cache_dir:
+                    cache = RunCache(spec.cache_dir)
+                with BUS.span("campaign", protocol=spec.testbed.protocol,
+                              variant=spec.testbed.variant):
+                    # one pool shared by every stage (lazily spawned on first
+                    # dispatch with real work — a fully-cached campaign never
+                    # forks)
+                    with SupervisedWorkerPool(
+                        workers=spec.workers, obs=spec.obs, supervision=spec.supervision
+                    ) as pool:
+                        return self._run_campaign(report, completed, journal, cache, pool)
         finally:
             if journal is not None:
                 journal.close()
+            METRICS.merge(registry.snapshot())
 
     def _evaluate(
         self, detector: AttackDetector, strategy: Strategy, run: RunResult, stage: str
@@ -446,8 +381,10 @@ class Controller:
         generator = self.make_generator()
         strategies = generator.generate(baseline.observed_pairs)
         generated = len(strategies)
-        if self.sample_every > 1:
-            strategies = strategies[:: self.sample_every]
+        spec = self.spec
+        config = spec.testbed
+        if spec.sample_every > 1:
+            strategies = strategies[:: spec.sample_every]
         dedup = dedupe_strategies(strategies)
         strategies = dedup.unique
         if dedup.collapsed_count:
@@ -455,9 +392,9 @@ class Controller:
             if METRICS.enabled:
                 METRICS.inc("generation.collapsed", dedup.collapsed_count)
         log.info("generated %d strategies, executing %d (%s/%s)",
-                 generated, len(strategies), self.config.protocol, self.config.variant)
+                 generated, len(strategies), config.protocol, config.variant)
 
-        noise_sigmas = self.confirmation.noise_sigmas if self.confirmation is not None else 0.0
+        noise_sigmas = spec.confirmation.noise_sigmas
         detector = AttackDetector(baseline, noise_sigmas=noise_sigmas)
         if BUS.enabled:
             # the noise band every detection had to clear, for `repro report`
@@ -488,14 +425,14 @@ class Controller:
         flaky: List[Tuple[Strategy, Detection]] = []
         retries_performed = sum(o.attempts - 1 for o in outcomes)
         all_runs: List[RunResult] = [o for o in outcomes if isinstance(o, RunResult)]
-        if self.confirm and candidates:
+        if spec.confirm and candidates:
             confirm_outcomes, confirm_resumed, confirm_resumed_results = self._run_stage(
                 STAGE_CONFIRM,
                 [strategy for strategy, _ in candidates],
                 completed,
                 journal,
                 report,
-                seed=self.config.seed + CONFIRM_SEED_OFFSET,
+                seed=config.seed + CONFIRM_SEED_OFFSET,
                 cache=cache,
                 pool=pool,
             )
@@ -547,15 +484,15 @@ class Controller:
         if BUS.enabled:
             BUS.emit(
                 "campaign.summary",
-                protocol=self.config.protocol,
-                variant=self.config.variant,
+                protocol=config.protocol,
+                variant=config.variant,
                 strategies_tried=len(strategies),
                 flagged=len(flagged),
                 errors=len(errors),
             )
         return CampaignResult(
-            protocol=self.config.protocol,
-            variant=self.config.variant,
+            protocol=config.protocol,
+            variant=config.variant,
             strategies_generated=generated,
             strategies_tried=len(strategies),
             flagged=flagged,
@@ -564,7 +501,7 @@ class Controller:
             true_strategies=true_strategies,
             attack_clusters=clusters,
             baseline=baseline,
-            sampled=self.sample_every > 1,
+            sampled=spec.sample_every > 1,
             errors=errors,
             timed_out_count=sum(1 for e in errors if e.timed_out),
             retries_performed=retries_performed,
@@ -599,9 +536,10 @@ class Controller:
         Failed and timed-out attempts rank alongside successes — the wedged
         runs that hit the watchdog are exactly the ones worth profiling.
         """
-        if self.obs is None or not self.obs.profile_dir:
+        obs = self.spec.obs
+        if obs is None or not obs.profile_dir:
             return
         outcomes: List[RunOutcome] = [*runs, *errors]
         slowest = sorted(outcomes, key=lambda r: r.wall_seconds, reverse=True)
-        keep = [r.run_id for r in slowest[: self.obs.profile_keep] if r.run_id]
-        prune_profiles(self.obs.profile_dir, keep)
+        keep = [r.run_id for r in slowest[: obs.profile_keep] if r.run_id]
+        prune_profiles(obs.profile_dir, keep)

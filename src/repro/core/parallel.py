@@ -97,6 +97,12 @@ class RetryPolicy:
     #: base sleep before retry attempt N, doubled each further attempt
     backoff: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
+        if self.backoff < 0:
+            raise ValueError("backoff must be >= 0")
+
     def backoff_for(self, attempt: int) -> float:
         """Seconds to sleep before retry ``attempt`` (attempt >= 1)."""
         if self.backoff <= 0 or attempt <= 0:
@@ -307,8 +313,8 @@ def run_strategies(
     fingerprint is already on disk and persists fresh clean results.
 
     ``obs`` switches on per-worker tracing/metrics/profiling; worker
-    metrics deltas are merged into the parent's registry as they arrive, so
-    after this returns the process-wide registry covers the whole stage.
+    metrics deltas are merged into the calling thread's registry as they
+    arrive, so after this returns that registry covers the whole stage.
     ``stage`` labels the trace records ("sweep" / "confirm" / ...).
 
     ``snapshots`` (a :class:`~repro.snap.SnapshotConfig` with ``enabled``)

@@ -50,7 +50,7 @@ import dataclasses
 
 from repro.api import CampaignSpec
 from repro.core.cache import RunCache, run_fingerprint
-from repro.core.controller import CampaignResult
+from repro.core.controller import CampaignResult, Controller
 from repro.core.executor import RunOutcome
 from repro.core.strategy import Strategy
 from repro.core.supervisor import SupervisedWorkerPool
@@ -416,11 +416,6 @@ class CampaignHandle:
             backoff=self.fabric.store_backoff,
         )
         self.view = CampaignScopedStore(self.store, self.campaign_id)
-        #: the campaign-private metrics registry the drive thread records
-        #: into (scoped via :meth:`ScopedMetrics.scoped`, folded into the
-        #: process registry on completion) — concurrent campaigns in one
-        #: service process no longer cross-pollute their snapshots
-        self.registry = MetricsRegistry()
         self._cancel = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
@@ -600,20 +595,6 @@ class CampaignHandle:
     def _drive(
         self, progress: Optional[Callable[[str, int, int], None]] = None
     ) -> None:
-        # Every metric this campaign records — on the drive thread and in
-        # the fork pools it spawns, which inherit the forking thread's
-        # routing — lands in the campaign-private registry, then folds
-        # into the process registry exactly once on completion.  N
-        # concurrent campaigns in one service process stay isolated.
-        try:
-            with METRICS.scoped(self.registry):
-                self._drive_scoped(progress)
-        finally:
-            METRICS.merge(self.registry.snapshot())
-
-    def _drive_scoped(
-        self, progress: Optional[Callable[[str, int, int], None]] = None
-    ) -> None:
         spec = self.spec
         fabric = self.fabric
         if fabric.telemetry_interval > 0:
@@ -622,10 +603,6 @@ class CampaignHandle:
             obs = spec.obs or ObsConfig()
             if not obs.metrics:
                 spec = spec.with_overrides(obs=dataclasses.replace(obs, metrics=True))
-        # configure_observability is value-idempotent, so it may skip the
-        # METRICS.enabled assignment entirely — enable the scoped registry
-        # here, explicitly
-        self.registry.enabled = bool(spec.obs and spec.obs.metrics)
         spec_fp = self.spec_fingerprint
         manifest: Dict[str, Any] = {}
         try:
@@ -668,12 +645,10 @@ class CampaignHandle:
             BUS.emit("fabric.campaign.start", spec_fingerprint=spec_fp,
                      store=fabric.store, campaign_id=self.campaign_id)
 
-            controller = spec.build_controller()
-            controller.cache = RunCache(self.store)
             runner = _FabricStageRunner(
                 spec, self.view, cache_store=self.store, cancel_event=self._cancel
             )
-            controller.stage_runner = runner
+            controller = Controller(spec, cache=RunCache(self.store), stage_runner=runner)
             try:
                 result = controller.run_campaign(progress=progress)
             except CampaignCancelled:
@@ -691,11 +666,20 @@ class CampaignHandle:
             manifest["status"] = MANIFEST_COMPLETE
             self.view.put(NS_CAMPAIGN, KEY_MANIFEST, manifest)
             if runner.aggregator is not None:
-                # final aggregation pass, then fold every worker host's
-                # cumulative registry into the campaign metrics: counters
-                # add, gauges max, histograms add bucket-wise — the health
-                # table and `repro report` now describe the whole fleet
-                runner.aggregator.poll()
+                # the final aggregation pass and the coordinator's last
+                # status record see the campaign's registry, as the
+                # earlier ones did inside the campaign
+                with METRICS.scoped(MetricsRegistry(enabled=True)) as own:
+                    own.merge(result.metrics)
+                    runner.aggregator.poll()
+                    if runner.agent.fleet is not None:
+                        runner.agent.fleet.publish(
+                            PHASE_EXITED, stats=runner.agent.stats, force=True
+                        )
+                # fold every worker host's cumulative registry into the
+                # campaign metrics: counters add, gauges max, histograms add
+                # bucket-wise — the health table and `repro report` now
+                # describe the whole fleet
                 fleet_metrics = runner.aggregator.merged_metrics(
                     include_roles=(ROLE_WORKER,)
                 )
@@ -710,10 +694,6 @@ class CampaignHandle:
                     per_worker.setdefault(
                         f"fleet.worker.{worker_id}.commits",
                         int(record.get("commits", 0)) + int(record.get("duplicates", 0)),
-                    )
-                if runner.agent.fleet is not None:
-                    runner.agent.fleet.publish(
-                        PHASE_EXITED, stats=runner.agent.stats, force=True
                     )
             result.fabric = runner.counters()
             # surface fabric counters beside the ordinary metric counters so

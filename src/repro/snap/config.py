@@ -23,8 +23,8 @@ class SnapshotConfig:
         Forked runs are behaviourally identical to full runs by contract;
         the full TCP and DCCP enumerations give identical journals either
         way (``BENCH_fullsweep.json``).  Only the sweep stage forks.  A
-        ``Controller`` or ``run_strategies`` given no ``SnapshotConfig`` at
-        all executes every run in full.
+        bare ``run_strategies`` call given no ``SnapshotConfig`` executes
+        every run in full.
     verify_fraction:
         Fraction of forked runs (deterministically sampled per strategy)
         that also execute in full; any :class:`RunResult` divergence

@@ -8,6 +8,7 @@ import pytest
 from repro.api import SPEC_VERSION, CampaignSpec, run_campaign
 from repro.cli import main
 from repro.core.checkpoint import JournalMismatch
+from repro.core.controller import Controller
 from repro.core.executor import TestbedConfig
 from repro.core.generation import GenerationConfig
 from repro.core.parallel import RetryPolicy
@@ -113,8 +114,9 @@ class TestFingerprint:
             testbed=TestbedConfig(protocol="tcp")).fingerprint() != spec.fingerprint()
 
     def test_controller_agrees_with_spec(self):
+        # the journal header names the campaign by the spec's own fingerprint
         spec = CampaignSpec(testbed=TestbedConfig(), sample_every=500)
-        assert spec.build_controller().spec_fingerprint() == spec.fingerprint()
+        assert Controller(spec)._journal_meta()["spec_fingerprint"] == spec.fingerprint()
 
 
 class TestResumeFingerprintGuard:
@@ -189,6 +191,20 @@ class TestSpecCLI:
             fh.write("{not json")
         assert main(["campaign", "--spec", path]) == 2
         assert "cannot build campaign spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("sample_every", 0), ("batch_size", 0), ("resume", True),
+        ("retry", {"retries": 0, "backoff": -1.0}),
+    ])
+    def test_invalid_spec_file_fails_dry_run(self, tmp_path, capsys, field, value):
+        document = CampaignSpec().to_dict()
+        document[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        assert main(["campaign", "--spec", str(path), "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot build campaign spec" in captured.err
 
     def test_mismatched_resume_exits_with_error(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")

@@ -6,13 +6,14 @@ import os
 
 import pytest
 
+from repro.api import CampaignSpec, run_campaign
 from repro.core.cache import (
     RunCache,
     campaign_fingerprint,
     canonical_json,
     run_fingerprint,
 )
-from repro.core.controller import Controller
+from repro.core.detector import ConfirmationPolicy
 from repro.core.executor import RunError, RunResult, TestbedConfig
 from repro.core.generation import GenerationConfig, dedupe_strategies
 from repro.core.parallel import run_strategies
@@ -73,15 +74,17 @@ class TestFingerprints:
         assert canonical_json({"b": (1, 2), "a": 1}) == canonical_json({"a": 1, "b": [1, 2]})
 
     def test_campaign_fingerprint_tracks_outcome_affecting_fields(self):
-        config = TestbedConfig()
-        base = campaign_fingerprint(config, None, 25, True, 1)
-        assert campaign_fingerprint(config, None, 50, True, 1) != base
-        assert campaign_fingerprint(config, None, 25, False, 1) != base
-        assert campaign_fingerprint(config, None, 25, True, 2) != base
+        config, policy = TestbedConfig(), ConfirmationPolicy()
+        base = campaign_fingerprint(config, None, 25, True, 1, policy)
+        assert campaign_fingerprint(config, None, 50, True, 1, policy) != base
+        assert campaign_fingerprint(config, None, 25, False, 1, policy) != base
+        assert campaign_fingerprint(config, None, 25, True, 2, policy) != base
         assert campaign_fingerprint(config, GenerationConfig(drop_percents=(1,)),
-                                    25, True, 1) != base
+                                    25, True, 1, policy) != base
+        assert campaign_fingerprint(config, None, 25, True, 1,
+                                    ConfirmationPolicy(noise_sigmas=2.0)) != base
         # None means protocol defaults: equal to an explicit default config
-        assert campaign_fingerprint(config, GenerationConfig(), 25, True, 1) == base
+        assert campaign_fingerprint(config, GenerationConfig(), 25, True, 1, policy) == base
 
 
 class TestRunCache:
@@ -269,7 +272,7 @@ class TestBatchedDispatch:
         with pytest.raises(ValueError):
             run_strategies(self.CONFIG, self._strategies(2), workers=1, batch_size=0)
         with pytest.raises(ValueError):
-            Controller(self.CONFIG, batch_size=0)
+            CampaignSpec(batch_size=0)
 
 
 class TestDedup:
@@ -314,17 +317,15 @@ class TestCachedCampaign:
     def test_repeat_campaign_is_all_cache_hits(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         config = TestbedConfig(protocol="tcp", variant="linux-3.13")
-        obs = ObsConfig(metrics=True)
-        cold = Controller(config, workers=1, sample_every=500,
-                          cache_dir=cache_dir, obs=obs).run_campaign()
+        spec = CampaignSpec(testbed=config, workers=1, sample_every=500,
+                            cache_dir=cache_dir, obs=ObsConfig(metrics=True))
+        cold = run_campaign(spec)
         cold_counters = cold.metrics["counters"]
         assert cold_counters["cache.misses"] > 0
         assert cold_counters["runs.completed"] > 0
         assert cold.cache_hits == 0
 
-        METRICS.reset()  # the registry is global; isolate the warm run's counters
-        warm = Controller(config, workers=1, sample_every=500,
-                          cache_dir=cache_dir, obs=obs).run_campaign()
+        warm = run_campaign(spec)  # its metrics hold its own counters only
         warm_counters = warm.metrics["counters"]
         assert warm_counters.get("cache.misses", 0) == 0
         assert warm_counters.get("runs.completed", 0) == 0  # zero executions
@@ -336,8 +337,8 @@ class TestCachedCampaign:
 
     def test_changed_config_misses(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        Controller(TestbedConfig(seed=7), workers=1, sample_every=500,
-                   cache_dir=cache_dir).run_campaign()
-        other = Controller(TestbedConfig(seed=8), workers=1, sample_every=500,
-                           cache_dir=cache_dir).run_campaign()
+        run_campaign(CampaignSpec(testbed=TestbedConfig(seed=7), workers=1,
+                                  sample_every=500, cache_dir=cache_dir))
+        other = run_campaign(CampaignSpec(testbed=TestbedConfig(seed=8), workers=1,
+                                          sample_every=500, cache_dir=cache_dir))
         assert other.cache_hits == 0

@@ -356,16 +356,22 @@ class TestScopedMetrics:
         assert registries[0].snapshot()["counters"] == {"thread0": 1}
         assert registries[1].snapshot()["counters"] == {"thread1": 2}
 
-    def test_campaign_metrics_are_isolated_between_runs(self, tmp_path):
-        # two sequential fabric campaigns: the second result's registry
-        # snapshot must not fold in the first's counters (a long-lived
-        # service process drives many campaigns back to back)
-        first = run_campaign(_fast_spec(fabric=FabricConfig(
-            store="dir://" + str(tmp_path / "s1"), lease_size=3)))
-        second = run_campaign(_fast_spec(fabric=FabricConfig(
-            store="dir://" + str(tmp_path / "s2"), lease_size=3)))
-        a = first.metrics["counters"]["fabric.units.executed"]
-        b = second.metrics["counters"]["fabric.units.executed"]
+    @pytest.mark.parametrize("mode", ["local", "fabric"])
+    def test_campaign_metrics_are_isolated_between_runs(self, mode, tmp_path):
+        # two sequential campaigns in one process: the second result's
+        # registry snapshot must not fold in the first's counters (a
+        # long-lived service process drives many campaigns back to back)
+        def spec(name):
+            if mode == "local":
+                return _fast_spec(obs=ObsConfig(metrics=True))
+            return _fast_spec(fabric=FabricConfig(
+                store="dir://" + str(tmp_path / name), lease_size=3))
+
+        counter = "runs.completed" if mode == "local" else "fabric.units.executed"
+        first = run_campaign(spec("s1"))
+        second = run_campaign(spec("s2"))
+        a = first.metrics["counters"][counter]
+        b = second.metrics["counters"][counter]
         assert a == b > 0
 
 

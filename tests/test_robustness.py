@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import CampaignSpec
 from repro.core.checkpoint import (
     CheckpointJournal,
     JournalCorrupt,
@@ -334,7 +335,7 @@ class TestCheckpointJournal:
 
     def test_resume_requires_checkpoint_path(self):
         with pytest.raises(ValueError):
-            Controller(TestbedConfig(), resume=True)
+            CampaignSpec(resume=True)
 
 
 class TestCampaignResume:
@@ -344,8 +345,10 @@ class TestCampaignResume:
     SAMPLE_EVERY = 500
 
     def _controller(self, **kwargs):
-        return Controller(TestbedConfig(protocol="tcp", variant="linux-3.13"),
-                          workers=1, sample_every=self.SAMPLE_EVERY, **kwargs)
+        return Controller(CampaignSpec(
+            testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
+            workers=1, sample_every=self.SAMPLE_EVERY, **kwargs,
+        ))
 
     def test_resume_from_truncated_journal_matches_uninterrupted(self, tmp_path):
         path = str(tmp_path / "campaign.jsonl")
@@ -376,7 +379,7 @@ class TestCampaignResume:
 
     def test_campaign_partitions_errors_out_of_detection(self, monkeypatch):
         # poison one generated strategy so its run raises mid-sweep
-        controller = self._controller(retries=1)
+        controller = self._controller(retry=RetryPolicy(retries=1))
         generator = controller.make_generator()
         original_generate = generator.generate
 

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.api import CampaignSpec
+from repro.core.controller import Controller
 from repro.core.executor import TestbedConfig
 from repro.fabric import MemoryStore
 from repro.fabric.config import FabricConfig
@@ -144,10 +145,10 @@ class TestAdmission:
             MemoryStore.reset_registry()
 
     def test_quarantine_after_consecutive_failures(self, monkeypatch):
-        def boom(self):
+        def boom(self, progress=None):
             raise RuntimeError("poison testbed")
 
-        monkeypatch.setattr(CampaignSpec, "build_controller", boom)
+        monkeypatch.setattr(Controller, "run_campaign", boom)
         MemoryStore.reset_registry()
         svc = CampaignService("memory://quarantine", quarantine_after=2)
         try:
@@ -320,6 +321,20 @@ class TestHTTPControlPlane:
         _, client = http_endpoint
         with pytest.raises(ServiceHTTPError) as excinfo:
             client.submit({"version": 99})
+        assert excinfo.value.status == 422
+        assert excinfo.value.payload["kind"] == "InvalidSpec"
+
+    @pytest.mark.parametrize("field,value", [
+        ("sample_every", 0), ("batch_size", 0), ("resume", True),
+        ("retry", {"retries": -1}),
+    ])
+    def test_invalid_spec_values_are_422(self, http_endpoint, field, value):
+        # caught at submission, not later in the campaign's drive thread
+        _, client = http_endpoint
+        document = CampaignSpec().to_dict()
+        document[field] = value
+        with pytest.raises(ServiceHTTPError) as excinfo:
+            client.submit(document)
         assert excinfo.value.status == 422
         assert excinfo.value.payload["kind"] == "InvalidSpec"
 

@@ -371,8 +371,6 @@ class TestSpecDefaultCampaign:
                                 obs=ObsConfig(metrics=True))
             if snapshots is not None:
                 spec = spec.with_overrides(snapshots=snapshots)
-            # one process, two campaigns: the registry is process-wide
-            metrics.reset()
             results[mode] = run_campaign(spec)
             journals[mode] = spec.checkpoint
         identical, report = compare_journals(journals["plain"], journals["default"])

@@ -209,14 +209,14 @@ class TestSupervisedCampaign:
         assert "Quarantined" in rendered and "supervisor:" in rendered
 
     def test_direct_controller_campaign_reports_supervisor_counters(self):
-        """A Controller built without a spec runs on the supervised pool
-        too: there is no unsupervised pool left to fall back to."""
-        controller = Controller(
-            TestbedConfig(protocol="tcp", variant="linux-3.13"),
+        """A Controller built directly from a default-supervision spec runs
+        on the supervised pool: there is no unsupervised pool left."""
+        controller = Controller(CampaignSpec(
+            testbed=TestbedConfig(protocol="tcp", variant="linux-3.13"),
             workers=2,
             sample_every=500,
-        )
-        assert controller.supervision == SupervisionConfig()
+        ))
+        assert controller.spec.supervision == SupervisionConfig()
         result = controller.run_campaign()
         assert result.supervisor == {
             "kills": 0, "worker_lost": 0, "respawns": 0,
@@ -324,7 +324,7 @@ class TestConfirmationPolicy:
 
     def test_controller_extends_baseline_seeds_deterministically(self):
         controller = Controller(
-            TestbedConfig(), confirmation=ConfirmationPolicy(baseline_runs=4)
+            CampaignSpec(confirmation=ConfirmationPolicy(baseline_runs=4))
         )
         seeds = controller.baseline_seeds()
         assert len(seeds) == 4
@@ -332,8 +332,8 @@ class TestConfirmationPolicy:
         assert len(set(seeds)) == 4
         assert seeds == controller.baseline_seeds()  # deterministic
 
-    def test_legacy_controller_keeps_two_seeds(self):
-        assert Controller(TestbedConfig()).baseline_seeds() == (101, 202)
+    def test_default_policy_keeps_two_seeds(self):
+        assert Controller(CampaignSpec()).baseline_seeds() == (101, 202)
 
 
 class TestVerdicts:
